@@ -31,6 +31,7 @@ from ..core.memo import clear_memos, memo_stats
 from ..core.normalize import normalize_expr
 from ..db.database import Database
 from ..engine.engine import Engine
+from ..engine.oracle import bit_identical
 from ..queries.updates import Transaction
 from ..semantics.boolean import BooleanStructure
 from ..workloads.logs import UpdateLog
@@ -458,18 +459,6 @@ class IndexComparison:
         }
 
 
-def _bit_identical(indexed: Engine, linear: Engine, database: Database) -> bool:
-    for relation in database.schema.names:
-        if indexed.live_rows(relation) != linear.live_rows(relation):
-            return False
-        if indexed.executor.tracks_provenance:
-            a = {row: expr for row, expr, _live in indexed.provenance(relation)}
-            b = {row: expr for row, expr, _live in linear.provenance(relation)}
-            if set(a) != set(b) or any(a[row] is not b[row] for row in a):
-                return False
-    return True
-
-
 def index_comparison(
     database: Database | None = None,
     log: UpdateLog | Transaction | None = None,
@@ -499,11 +488,6 @@ def index_comparison(
     # (and rewrite memos).  Timing indexed-first hands that warmth to the
     # linear side, biasing the measurement *against* the asserted speedup.
     indexed = Engine(database, policy=policy)
-    store = getattr(indexed.executor, "store", None)
-    if store is None:
-        from ..errors import EngineError
-
-        raise EngineError(f"policy {policy!r} does not sit on the annotation store")
     indexed.apply(log)
     linear = Engine(database, policy=policy)
     linear.executor.store.use_indexes = False
@@ -511,7 +495,7 @@ def index_comparison(
 
     consistent = True
     if verify:
-        consistent = _bit_identical(indexed, linear, database)
+        consistent = bit_identical(indexed, linear)
     return IndexComparison(
         policy=policy,
         queries=indexed.stats.queries,
@@ -576,21 +560,6 @@ class ShardComparison:
             "speedup": self.speedup,
             "consistent": self.consistent,
         }
-
-
-def _engines_bit_identical(unsharded: Engine, sharded, database: Database) -> bool:
-    for relation in database.schema.names:
-        a = {row: (expr, live) for row, expr, live in unsharded.provenance(relation)}
-        b = {row: (expr, live) for row, expr, live in sharded.provenance(relation)}
-        if a.keys() != b.keys():
-            return False
-        for row, (expr, live) in a.items():
-            other_expr, other_live = b[row]
-            if live != other_live:
-                return False
-            if unsharded.executor.tracks_provenance and expr is not other_expr:
-                return False
-    return True
 
 
 def shard_comparison(
@@ -660,7 +629,7 @@ def shard_comparison(
 
         consistent = True
         if verify:
-            consistent = _engines_bit_identical(unsharded, sharded, database)
+            consistent = bit_identical(unsharded, sharded)
     finally:
         sharded.close()
     return ShardComparison(
@@ -757,7 +726,6 @@ def server_comparison(
     from ..db.schema import Relation, Schema
     from ..queries.updates import Insert
     from ..server import ServerClient, ServerConfig, serve_in_thread
-    from ..shard.codec import capture_engine
 
     schema = Schema(
         [Relation(f"client_{i}", ["id", "value"]) for i in range(clients)]
@@ -822,10 +790,10 @@ def server_comparison(
         direct = Engine(Database(schema), policy=policy)
         for i in range(clients):
             direct.apply(client_queries(i))
-        direct_state = capture_engine(direct)
-        consistent = _states_bit_identical(
-            batched_state, direct_state
-        ) and _states_bit_identical(percall_state, direct_state)
+        direct_state = direct.capture()
+        consistent = bit_identical(batched_state, direct_state) and bit_identical(
+            percall_state, direct_state
+        )
 
     return ServerComparison(
         policy=policy,
@@ -1076,25 +1044,6 @@ class RecoveryComparison:
         }
 
 
-def _observed_state(engine: Engine) -> dict:
-    """The store state after a full provenance observation (forces flushes)."""
-    engine.support_count()
-    return engine.executor.store.state()
-
-
-def _states_bit_identical(a: dict, b: dict) -> bool:
-    if a.keys() != b.keys():
-        return False
-    for name in a:
-        if a[name].keys() != b[name].keys():
-            return False
-        for row, (ann, live) in a[name].items():
-            other_ann, other_live = b[name][row]
-            if ann is not other_ann or live != other_live:
-                return False
-    return True
-
-
 def recovery_comparison(
     directory,
     database: Database | None = None,
@@ -1145,7 +1094,7 @@ def recovery_comparison(
         database, directory, policy=policy, sync=sync, checkpoint_every=checkpoint_every
     )
     journaled.apply(log)
-    journaled_state = _observed_state(journaled)
+    journaled_state = journaled.capture()
     journaled_time = time.perf_counter() - start
     journal_records = journaled.journal.appended
     checkpoints = journaled.checkpoints.written
@@ -1154,20 +1103,20 @@ def recovery_comparison(
     start = time.perf_counter()
     plain = Engine(database, policy=policy)
     plain.apply(log)
-    plain_state = _observed_state(plain)
+    plain_state = plain.capture()
     plain_time = time.perf_counter() - start
 
     start = time.perf_counter()
     recovered = recover(directory, sync=sync, checkpoint_every=checkpoint_every)
-    recovered_state = _observed_state(recovered)
+    recovered_state = recovered.capture()
     recovery_time = time.perf_counter() - start
     tail_records = recovered.recovery.tail_records
     recovered.journal.close()
 
     consistent = True
     if verify:
-        consistent = _states_bit_identical(recovered_state, plain_state) and (
-            _states_bit_identical(journaled_state, plain_state)
+        consistent = bit_identical(recovered_state, plain_state) and bit_identical(
+            journaled_state, plain_state
         )
     return RecoveryComparison(
         policy=policy,
@@ -1205,7 +1154,10 @@ class ReplicationComparison:
     snapshot version per applied batch, so between batches every read is
     a cached-snapshot hit.  The speedup is a per-read-cost win — captures
     amortized over whole shipped batches instead of paid per write — not
-    a core-count win: it holds on a single-core runner.
+    a core-count win: it holds on a single-core runner.  The counted form
+    of the same claim is ``captures_per_read`` on each side (the ``stats``
+    op's ``captures`` over the reads that side served): a scheduling-proof
+    gate, where the wall-clock ``speedup`` is only reported.
 
     The topology is identical in both phases — the primary ships to all
     ``followers`` throughout, so both sides bear the same replication
@@ -1233,7 +1185,19 @@ class ReplicationComparison:
     replicated_reads: int
     replicated_elapsed: float
     follower_reads: int
+    #: snapshots the primary captured during the primary-only phase, and
+    #: the followers (summed) during the replicated phase.
+    primary_captures: int
+    follower_captures: int
     consistent: bool
+
+    @property
+    def primary_captures_per_read(self) -> float:
+        return self.primary_captures / max(1, self.primary_reads)
+
+    @property
+    def follower_captures_per_read(self) -> float:
+        return self.follower_captures / max(1, self.follower_reads)
 
     @property
     def primary_read_rate(self) -> float:
@@ -1269,6 +1233,8 @@ class ReplicationComparison:
             "replicated_elapsed": self.replicated_elapsed,
             "replicated_read_rate": self.replicated_read_rate,
             "follower_reads": self.follower_reads,
+            "primary_captures_per_read": self.primary_captures_per_read,
+            "follower_captures_per_read": self.follower_captures_per_read,
             "speedup": self.speedup,
             "consistent": self.consistent,
         }
@@ -1367,6 +1333,9 @@ def replication_comparison(
             raise failures[0]
         return sum(counts), elapsed, sum(routed)
 
+    def captures(clients) -> int:
+        return sum(int(c.stats()["server"]["captures"]) for c in clients)
+
     with spawn_primary(
         directory / "primary", schema=[f"{relation}:id,value"], policy=policy
     ) as primary:
@@ -1389,12 +1358,15 @@ def replication_comparison(
                 # the preload watermark before timing anything.
                 _await_followers(follower_clients, writer.last_seq or 0)
 
+                captures_before = captures([writer])
                 primary_reads, primary_elapsed, _ = measured_phase(
                     writer,
                     lambda: ServerClient(*primary.address, connect_retry=10.0),
                     first_id=rows,
                 )
+                primary_captures = captures([writer]) - captures_before
 
+                captures_before = captures(follower_clients)
                 replicated_reads, replicated_elapsed, follower_served = measured_phase(
                     writer,
                     lambda: ReplicatedClient(
@@ -1407,6 +1379,7 @@ def replication_comparison(
                     ),
                     first_id=rows + writes,
                 )
+                follower_captures = captures(follower_clients) - captures_before
 
                 # Quiesce and hold the keel: every follower at the primary's
                 # exact journal seq, bit-identical full state captures.
@@ -1417,7 +1390,7 @@ def replication_comparison(
                     primary_state = writer.state()
                     for client in follower_clients:
                         follower_state = client.state()
-                        if client.last_version != seq or not _states_bit_identical(
+                        if client.last_version != seq or not bit_identical(
                             primary_state, follower_state
                         ):
                             consistent = False
@@ -1439,6 +1412,8 @@ def replication_comparison(
         replicated_reads=replicated_reads,
         replicated_elapsed=replicated_elapsed,
         follower_reads=follower_served,
+        primary_captures=primary_captures,
+        follower_captures=follower_captures,
         consistent=consistent,
     )
 

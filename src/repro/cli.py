@@ -743,7 +743,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         except (ReproError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        recovery = getattr(service.engine, "recovery", None)
+        recovery = service.engine.recovery
         if recovery is not None:
             print(f"recovered {args.directory}: {recovery.as_dict()}")
         memory_knobs = ""

@@ -61,6 +61,7 @@ __all__ = [
     "times_m",
     "ssum",
     "size",
+    "dag_size",
     "depth",
     "variables",
     "evaluate",
@@ -540,6 +541,26 @@ def size(expr: Expr) -> int:
                 node._size = 1 + sum(c._size for c in node.children)  # type: ignore[misc]
     assert expr._size is not None
     return expr._size
+
+
+def dag_size(exprs: Iterable[Expr]) -> int:
+    """Distinct nodes across all of ``exprs``: the *stored* provenance size.
+
+    One shared visited set, so a sub-DAG several expressions reference is
+    neither re-counted nor re-traversed.
+    """
+    seen: set[int] = set()
+    stack: list[Expr] = []
+    for root in exprs:
+        if id(root) not in seen:
+            stack.append(root)
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(c for c in node.children if id(c) not in seen)
+    return len(seen)
 
 
 def depth(expr: Expr) -> int:

@@ -100,27 +100,17 @@ class Engine:
         clock: Callable[[], float] = time.perf_counter,
         journal=None,
         arena: bool = False,
-        deltas=None,
     ):
         self.policy = policy
         self.executor = make_executor(database, policy, annotate, arena=arena)
         self.stats = EngineStats()
         self._clock = clock
-        self._applied: list[UpdateQuery] = []
         #: Write-ahead journal hook (see ``repro.wal``).  Anything with
         #: ``append_query`` / ``append_txn_end`` / ``append_batch_end``
         #: works; every update is journaled *before* it is applied, so a
         #: crash mid-apply re-applies the record on recovery (redo-log
         #: discipline) instead of losing it.
         self.journal = journal
-        #: Row-delta hook alongside the journal hook (see ``repro.views``):
-        #: a :class:`~repro.views.deltas.DeltaBuffer` the executor mirrors
-        #: every support mutation into.  Usually attached after
-        #: construction via :func:`repro.views.deltas.attach_delta_sink`,
-        #: which also validates the policy can emit deltas.
-        self.deltas = deltas
-        if deltas is not None:
-            self.executor.delta_sink = deltas
 
     # -- applying updates -------------------------------------------------------
 
@@ -147,31 +137,30 @@ class Engine:
             raise EngineError(f"cannot apply {type(item).__name__}")
         return self
 
-    def _apply_query(self, query: UpdateQuery) -> None:
+    def _apply_query(self, query: UpdateQuery, journaled: bool = True) -> None:
         # The journal append sits inside the timed section (as in the
         # batched path), so a journaled run's wall_time reflects the
-        # per-record sync cost it actually pays.
+        # per-record sync cost it actually pays.  ``journaled=False`` is
+        # the replay of a record that is durable already (a shipped frame).
+        journal = self.journal if journaled else None
         start = self._clock()
-        if self.journal is not None:
-            self.journal.append_query(query)
+        if journal is not None:
+            journal.append_query(query)
         try:
             matched, created = self.executor.apply(query)
         except Exception:
-            if self.journal is not None:
+            if journal is not None:
                 # The write-ahead record must not replay on recovery:
                 # executors validate before mutating, so a raising apply
                 # left no state change to redo.
-                self.journal.append_abort()
+                journal.append_abort()
             raise
         elapsed = self._clock() - start
         self.stats.record(query.kind, matched, created, elapsed)
         self._sync_planner_stats()
-        self._applied.append(query)
 
     def _sync_planner_stats(self) -> None:
-        store = getattr(self.executor, "store", None)
-        if store is not None:
-            self.stats.sync_planner(store.stats)
+        self.stats.sync_planner(self.executor.store.stats)
 
     def apply_batch(self, item: UpdateQuery | Transaction | Iterable) -> "Engine":
         """Apply a query sequence through the batched pipeline.
@@ -216,7 +205,6 @@ class Engine:
             elapsed = self._clock() - start
             self.stats.record_batch([q.kind for q in run], matched, created, elapsed)
             self._sync_planner_stats()
-            self._applied.extend(run)
             run.clear()
 
         def feed(item: UpdateQuery | Transaction | Iterable) -> None:
@@ -243,10 +231,6 @@ class Engine:
         flush_run()
         return self
 
-    @property
-    def applied_queries(self) -> tuple[UpdateQuery, ...]:
-        return tuple(self._applied)
-
     # -- results ------------------------------------------------------------------
 
     def result(self) -> Database:
@@ -270,11 +254,13 @@ class Engine:
 
     def tuple_var(self, relation: str, row: Iterable[object]) -> str | None:
         """Base annotation name of an initial tuple (for what-if valuations)."""
-        return self.executor.tuple_var(relation, tuple(row))
+        return self.tuple_vars().get(relation, {}).get(tuple(row))
 
     def tuple_var_names(self) -> frozenset[str]:
         """All annotation names assigned to initial tuples."""
-        return self.executor.tuple_var_names()
+        return frozenset(
+            name for names in self.tuple_vars().values() for name in names.values()
+        )
 
     # -- measurements ---------------------------------------------------------------
 
@@ -331,22 +317,23 @@ class Engine:
         This is the "provenance usage" operation the paper times in Figures
         7c/8c: assigning values to annotations.  Returns, per relation, a
         mapping from rows to structure values (e.g. booleans for deletion
-        propagation).
+        propagation).  Defined over :meth:`provenance` alone, so every
+        backend shares it.
         """
-        if not self.executor.tracks_provenance:
+        if not self.tracks_provenance:
             raise EngineError(f"policy {self.policy!r} does not track provenance")
-        if not getattr(self.executor, "supports_specialization", True):
+        if not self.stores_expressions:
             raise EngineError(
                 f"policy {self.policy!r} stores version annotations, not UP[X] "
                 "expressions; Update-Structure specialization does not apply"
             )
-        out: dict[str, dict[tuple, object]] = {}
-        for name in self.executor.schema.names:
-            values: dict[tuple, object] = {}
-            for row, expr, _live in self.executor.provenance_items(name):
-                values[row] = evaluate(expr, structure, env)
-            out[name] = values
-        return out
+        return {
+            name: {
+                row: evaluate(expr, structure, env)
+                for row, expr, _live in self.provenance(name)
+            }
+            for name in self.schema.names
+        }
 
     def specialized_database(
         self,
@@ -355,8 +342,127 @@ class Engine:
     ) -> Database:
         """The database whose rows are those with non-zero specialized value."""
         values = self.specialize(structure, env)
-        db = Database(self.executor.schema)
+        db = Database(self.schema)
         zero = structure.zero
         for name, rows in values.items():
             db.extend(name, (row for row, value in rows.items() if value != zero))
         return db
+
+    # -- the quiescent-point contract ---------------------------------------------------
+    #
+    # Everything a host (the provenance service, a shard coordinator, a
+    # replication follower) may ask of a backend between top-level
+    # updates.  The plain in-memory behaviour lives here; JournaledEngine
+    # and ShardedEngine override what differs.  docs/ARCHITECTURE.md
+    # ("Engine contract") tabulates method x backend.
+
+    #: RecoveryReport when this engine came out of ``recover()``.
+    recovery = None
+
+    @property
+    def schema(self):
+        return self.executor.schema
+
+    @property
+    def tracks_provenance(self) -> bool:
+        return self.executor.tracks_provenance
+
+    @property
+    def stores_expressions(self) -> bool:
+        """Whether annotations are UP[X] expressions rather than MV version
+        annotations — what row deltas and specialization both need."""
+        return self.executor.emits_deltas
+
+    @property
+    def last_seq(self) -> int | None:
+        """The durable journal sequence reached; ``None`` without a journal."""
+        return self.journal.last_seq if self.journal is not None else None
+
+    def capture(self) -> dict[str, dict[tuple, tuple[Expr | None, bool]]]:
+        """The full annotated state, ``{relation: {row: (expression, live)}}``.
+
+        Goes through :meth:`provenance` so the ``normal_form_batch``
+        policy flushes first, exactly as before any other observation.
+        The vanilla policy captures ``None`` annotations (its support is
+        its live rows; a uniform ``0`` would only inflate wire payloads).
+        """
+        tracks = self.tracks_provenance
+        return {
+            name: {
+                row: (expr if tracks else None, live)
+                for row, expr, live in self.provenance(name)
+            }
+            for name in self.schema.names
+        }
+
+    def flush_pending(self) -> None:
+        """Materialize deferred executor work (batch normalization).
+
+        Called before a delta drain: ``normal_form_batch`` rewrites
+        annotations at flush time and emits the matching ``annotation``
+        deltas, so draining without flushing would stamp those rewrites
+        into a *later* batch than the version they belong to.
+        """
+        self.executor.flush()
+
+    def attach_deltas(self, sink) -> None:
+        """Mirror every support mutation into ``sink`` (a ``DeltaBuffer``).
+
+        The one place a backend that cannot emit row deltas says so.
+        """
+        if not self.stores_expressions:
+            raise EngineError(
+                f"policy {self.policy!r} does not emit row deltas "
+                "(MV version annotations have no UP[X] delta form)"
+            )
+        self.executor.delta_sink = sink
+
+    def match_rows(
+        self, relation: str, pattern
+    ) -> dict[tuple, tuple[Expr | None, bool]]:
+        """The ``{row: (expression, live)}`` slice of ``relation`` matching
+        ``pattern``, through the store's pattern planner — O(matched), not
+        O(relation) — flushed first, so it shows exactly the rows and
+        annotations a :meth:`capture` taken now would.
+        """
+        self.flush_pending()
+        executor = self.executor
+        store = executor.store.relation(relation)
+        slots = store.rows
+        return {
+            row: (
+                None if (ann := slots.annotation(rid)) is None else executor._expr_of(ann),
+                slots.is_live(rid),
+            )
+            for rid, row in store.matching(pattern)
+        }
+
+    def tuple_vars(self) -> dict[str, dict[tuple, str]]:
+        """Initial-tuple annotation names, ``{relation: {row: name}}``."""
+        return getattr(self.executor, "_tuple_vars", {})
+
+    def arena_size(self) -> tuple[int, int]:
+        """``(nodes, bytes)`` of the at-rest arena; zeros in object mode."""
+        arena = self.executor.store.arena
+        return (arena.node_count, arena.nbytes()) if arena is not None else (0, 0)
+
+    def compact_arena(self) -> None:
+        """Repack the at-rest arena after a sweep (no-op in object mode)."""
+        self.executor.store.compact_arena()
+
+    def checkpoint(self) -> int:
+        """Write a durability checkpoint now; returns how many were written."""
+        raise EngineError("a plain engine keeps no durable state to checkpoint")
+
+    def close(self, checkpoint: bool = True) -> None:
+        """Graceful shutdown.  Nothing is durable here, but deferred
+        normalization is flushed so it is not silently dropped work."""
+        self.flush_pending()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_exc) -> None:
+        # An exception mid-work is a crash, not a clean shutdown: durable
+        # backends keep their journal tail so recovery replays it.
+        self.close(checkpoint=exc_type is None)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from ..core.arena import ExprArena
-from ..core.expr import Expr, ZERO, minus, plus_i, plus_m, ssum, times_m, var
+from ..core.expr import Expr, ZERO, dag_size, minus, plus_i, plus_m, ssum, times_m, var
 from ..core.normal_form import Contribution, NormalForm
 from ..core.normalize import normalize_expr
 from ..db.database import Database
@@ -105,6 +105,9 @@ class Executor:
     def on_transaction_end(self, name: str) -> None:
         """Hook invoked after a whole :class:`Transaction` was applied."""
 
+    def flush(self) -> None:
+        """Materialize deferred work; a no-op unless the policy defers any."""
+
     # -- inspection -----------------------------------------------------------
 
     def live_rows(self, relation: str) -> set[tuple[object, ...]]:
@@ -157,21 +160,13 @@ class Executor:
                 return expr
         return ZERO
 
-    def tuple_var(self, relation: str, row: tuple) -> str | None:
-        """The base annotation name assigned to an initial row, if any."""
-        return None
-
-    def tuple_var_names(self) -> frozenset[str]:
-        """All annotation names assigned to initial rows."""
-        return frozenset()
-
 
 class StoreBackedExecutor(Executor):
     """Common plumbing of every executor sitting on an :class:`AnnotationStore`.
 
     Alongside the store, every subclass participates in the *delta hook*:
     when :attr:`delta_sink` is set (see
-    :func:`repro.views.deltas.attach_delta_sink`), each support mutation
+    :meth:`repro.engine.engine.Engine.attach_deltas`), each support mutation
     is mirrored into the sink through :meth:`_emit` — the row-level
     vocabulary live views are maintained from.  Executors whose slots
     have no ``UP[X]`` expression form set :attr:`emits_deltas` to False
@@ -455,34 +450,15 @@ class AnnotatedExecutor(StoreBackedExecutor):
         )
 
     def provenance_dag_size(self) -> int:
-        seen: set[int] = set()
-        stack: list[Expr] = []
-        for name, _store in self.store.relations():
-            for _row, ann, _live in self.store.items(name):
-                root = self._expr_of(ann)
-                if id(root) not in seen:
-                    stack.append(root)
-                # One shared visited set across all rows: shared sub-DAGs are
-                # neither re-counted nor re-traversed.
-                while stack:
-                    node = stack.pop()
-                    if id(node) in seen:
-                        continue
-                    seen.add(id(node))
-                    stack.extend(c for c in node.children if id(c) not in seen)
-        return len(seen)
+        return dag_size(
+            self._expr_of(ann)
+            for name, _store in self.store.relations()
+            for _row, ann, _live in self.store.items(name)
+        )
 
     def provenance_items(self, relation: str) -> Iterator[tuple[tuple, Expr, bool]]:
         for row, ann, live in self.store.items(relation):
             yield row, self._expr_of(ann), live
-
-    def tuple_var(self, relation: str, row: tuple) -> str | None:
-        return self._tuple_vars.get(relation, {}).get(tuple(row))
-
-    def tuple_var_names(self) -> frozenset[str]:
-        return frozenset(
-            name for names in self._tuple_vars.values() for name in names.values()
-        )
 
 
 class NaiveExecutor(AnnotatedExecutor):

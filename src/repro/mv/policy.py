@@ -55,7 +55,6 @@ class MVExecutor(StoreBackedExecutor):
     """
 
     tracks_provenance = True
-    supports_specialization = False
     emits_deltas = False
 
     def __init__(
@@ -246,11 +245,3 @@ class MVExecutor(StoreBackedExecutor):
         # generic provenance scan (first version at the row, in creation
         # order) instead of the store probe.
         return Executor.annotation_of(self, relation, row)
-
-    def tuple_var(self, relation: str, row: tuple) -> str | None:
-        return self._tuple_vars.get(relation, {}).get(tuple(row))
-
-    def tuple_var_names(self) -> frozenset[str]:
-        return frozenset(
-            name for names in self._tuple_vars.values() for name in names.values()
-        )

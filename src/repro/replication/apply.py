@@ -1,16 +1,13 @@
 """Applying shipped journal frames to a follower engine.
 
-The applier is the follower-side half of the replication contract.  It
-receives ``(record, line)`` pairs — the decoded record plus the exact
-bytes the primary wrote — and for each one:
-
-1. appends the line verbatim to the follower's own journal
-   (:meth:`Journal.append_raw`), so durability is settled *before* the
-   state change, exactly as on the primary (redo-log discipline);
-2. applies the record through the same replay vocabulary
-   :func:`repro.wal.recovery.recover` uses, so the follower's engine
-   state at sequence *s* is bit-identical to the primary's at *s* —
-   rows, liveness, and the very same interned annotation objects.
+The applier is the sequencing half of the follower: it receives
+``(record, line)`` pairs — the decoded record plus the exact bytes the
+primary wrote — and hands each one, exactly once and in order, to the
+follower-mode engine's
+:meth:`~repro.wal.engine.JournaledEngine.apply_shipped`, which owns the
+rest (durable-first verbatim append, replay through the recovery
+vocabulary, checkpoints at the shipped flush boundaries), so the
+follower's state at sequence *s* is bit-identical to the primary's at *s*.
 
 Exactly-once sequencing is structural: frames at or below the applied
 sequence are skipped (a reconnect re-ships from the follower's durable
@@ -26,51 +23,26 @@ versa) is divergence and fatal.  If the follower crashes between the
 query and its abort, recovery appends its own abort record — which is
 byte-identical to the primary's (same sequence, same ``undo`` payload,
 hence the same CRC) — and the re-shipped copy is skipped as a duplicate.
-
-Checkpoints fire only after ``txn_end`` / ``batch_end`` records: those
-are the primary's own flush points, so observing provenance there (which
-a checkpoint does) cannot flush the ``normal_form_batch`` policy at a
-point the primary did not.
 """
 
 from __future__ import annotations
 
-from ..errors import ReplicationError, ReproError
-from ..wal.journal import ABORT, BATCH_END, QUERY, TXN_END, Journal
-from ..workloads.logs import query_from_dict
+from ..errors import ReplicationError
+from ..wal.journal import ABORT
 
 __all__ = ["ShipmentApplier"]
 
 
 class ShipmentApplier:
-    """Applies shipped journal frames onto a follower engine.
+    """Sequences shipped journal frames onto a follower-mode engine."""
 
-    ``engine`` must have its journal hook detached (``engine.journal is
-    None``): the applier owns durability through ``journal``, and the
-    engine journaling the replayed query itself would double-write it.
-    ``journal`` may be ``None`` for an in-memory follower (property
-    tests); such a follower cannot resume after a crash.
-    """
-
-    def __init__(self, engine, journal: Journal | None = None):
-        if engine.journal is not None:
-            raise ReplicationError(
-                "follower engine must have its journal hook detached; "
-                "the applier appends shipped lines itself"
-            )
+    def __init__(self, engine):
         self.engine = engine
-        self.journal = journal
         #: highest sequence number applied to the engine.
-        self.applied_seq = journal.last_seq if journal is not None else 0
+        self.applied_seq = engine.last_seq
         #: sequence of a query that failed locally and now awaits the
         #: primary's confirming abort record.
         self._pending_failed: int | None = None
-        #: frames skipped as duplicates (reconnect overlap).
-        self.skipped = 0
-        #: checkpoints written while applying.
-        self.checkpoints_written = 0
-
-    # -- applying -------------------------------------------------------------
 
     def apply_lines(self, shipments) -> int:
         """Apply ``(record, line)`` pairs in order; returns frames applied.
@@ -81,92 +53,45 @@ class ShipmentApplier:
         for record, line in shipments:
             seq = record["seq"]
             if seq <= self.applied_seq:
-                self.skipped += 1
                 continue
             if seq != self.applied_seq + 1:
                 raise ReplicationError(
                     f"sequence gap in shipped frames: got {seq}, "
                     f"expected {self.applied_seq + 1}"
                 )
-            if self.journal is not None:
-                self.journal.append_raw(line, seq)
-            self._apply_record(record)
+            self._apply_record(record, line)
             self.applied_seq = seq
             applied += 1
         return applied
 
-    def _apply_record(self, record: dict) -> None:
-        kind = record["kind"]
-        if self._pending_failed is not None and kind != ABORT:
+    def _apply_record(self, record: dict, line: bytes) -> None:
+        aborts = record["kind"] == ABORT
+        if self._pending_failed is not None and not aborts:
             raise ReplicationError(
                 f"divergence at seq {self._pending_failed}: the query "
                 "failed here but the primary applied it (no abort record "
                 "followed)"
             )
-        if kind == QUERY:
-            query = query_from_dict(record["query"])
-            try:
-                self.engine._apply_query(query)
-            except ReproError:
-                # Deterministic validation failure: the primary's next
-                # record must be the confirming abort.
-                self._pending_failed = record["seq"]
-        elif kind == TXN_END:
-            self.engine.executor.on_transaction_end(str(record["name"]))
-            self.engine.stats.transactions += 1
-            self._maybe_checkpoint()
-        elif kind == ABORT:
-            if self._pending_failed != record["seq"] - 1:
-                raise ReplicationError(
-                    f"divergence at seq {record['seq']}: the primary "
-                    "aborted a query the follower applied successfully"
-                )
+        if aborts and self._pending_failed != record["seq"] - 1:
+            raise ReplicationError(
+                f"divergence at seq {record['seq']}: the primary "
+                "aborted a query the follower applied successfully"
+            )
+        if self.engine.apply_shipped(record, line):
             self._pending_failed = None
-        elif kind == BATCH_END:
-            # Audit-only on replay; also a safe checkpoint point.
-            self._maybe_checkpoint()
-        else:  # pragma: no cover - parse_line filters unknown kinds
-            raise ReplicationError(f"unknown shipped record kind {kind!r}")
-
-    # -- checkpointing --------------------------------------------------------
-
-    def _maybe_checkpoint(self) -> bool:
-        """Checkpoint at a flush boundary if the engine's policy is due.
-
-        Mirrors :meth:`JournaledEngine.maybe_checkpoint`, but against the
-        applier's journal (the engine's own hook is detached).
-        """
-        checkpoints = getattr(self.engine, "checkpoints", None)
-        if checkpoints is None or self.journal is None:
-            return False
-        rows_since = (
-            self.engine.stats.rows_created - self.engine._rows_at_checkpoint
-        )
-        if not checkpoints.due(self.journal.records_since_reset, rows_since):
-            return False
-        checkpoints.write(self.engine, self.journal)
-        self.engine._rows_at_checkpoint = self.engine.stats.rows_created
-        self.checkpoints_written += 1
-        return True
-
-    # -- promotion ------------------------------------------------------------
+        else:
+            # Deterministic validation failure: the primary's next record
+            # must be the confirming abort.
+            self._pending_failed = record["seq"]
 
     def promote(self) -> None:
-        """Reattach the journal hook: the engine becomes a writer.
+        """Hand the engine back to writing, continuing the shipped sequence.
 
-        After this the applier must not receive further shipments; the
-        engine journals its own updates, continuing the shipped sequence.
+        After this the applier must not receive further shipments.
         """
         if self._pending_failed is not None:
             raise ReplicationError(
                 "cannot promote with an unconfirmed aborting query; the "
                 "stream stopped mid-abort — recover the directory instead"
             )
-        if self.journal is None:
-            raise ReplicationError("cannot promote an in-memory follower")
-        self.engine.journal = self.journal
-        self.journal = None
-
-    def close(self) -> None:
-        if self.journal is not None:
-            self.journal.close()
+        self.engine.promote()

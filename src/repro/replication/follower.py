@@ -5,7 +5,7 @@ plus ``journal.log`` — whose records arrive over TCP instead of from a
 local engine.  Bootstrap is therefore just :func:`recover` on that
 directory, fetching the primary's checkpoint first if the directory is
 empty.  After a disconnect the follower reconnects and syncs from its
-**last durable sequence** (the applier appends before it applies, so
+**last durable sequence** (the engine appends before it applies, so
 durable ≥ applied at every instant and they are equal between frames);
 the primary re-ships anything in flight and the applier's duplicate skip
 makes the overlap harmless.
@@ -124,18 +124,17 @@ class FollowerCore:
     def bootstrap(self):
         """Recover the local directory, fetching a checkpoint if empty.
 
-        Returns the follower engine, journal hook detached — the
-        :class:`ShipmentApplier` owns durability from here on.
+        Returns the engine in follower mode: from here on its journal is
+        fed by shipped frames only, sequenced by the :class:`ShipmentApplier`.
         """
         if not (self.directory / CHECKPOINT_FILE).exists():
             fetch_checkpoint(self.primary, self.directory)
         engine = recover(
             self.directory, sync=self.sync, checkpoint_every=self.checkpoint_every
         )
-        journal = engine.journal
-        engine.journal = None
+        engine.follow()
         self.engine = engine
-        self.applier = ShipmentApplier(engine, journal)
+        self.applier = ShipmentApplier(engine)
         return engine
 
     @property
@@ -240,5 +239,5 @@ class FollowerCore:
 
     def close(self) -> None:
         self.stop()
-        if self.applier is not None:
-            self.applier.close()
+        if self.engine is not None:
+            self.engine.close()

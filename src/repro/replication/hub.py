@@ -228,9 +228,12 @@ class ReplicationListener:
     def stop(self) -> None:
         self._stopping.set()
         try:
-            self._sock.close()
+            # Closing a listening socket from another thread does not wake
+            # a blocked accept() on Linux; shutting it down first does.
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
         with self._lock:
             conns = list(self._conns)
         for conn in conns:

@@ -7,7 +7,7 @@ journal plus a :class:`ReplicationListener` followers connect to.
 :class:`FollowerNode` is a whole follower: it bootstraps a
 :class:`FollowerCore`, serves the full read surface from the recovered
 engine through a read-only :class:`ProvenanceService`, and pumps shipped
-frames into the service's ``replicate`` admission — so replication
+frames in through the service's ``fold_shipped`` admission — so replication
 serializes with reads on the writer thread, readers see whole shipped
 batches, and the published snapshot's version is the applied journal
 sequence.  Because the follower's version only advances when frames
@@ -17,7 +17,7 @@ measures.
 
 Promotion (`repro replicate promote`, or the ``promote`` wire op) stops
 the shipping stream, joins the receiver, and flips the service's role on
-the writer thread; the engine reattaches the journal and continues the
+the writer thread; the engine leaves follower mode and continues the
 shipped sequence as a writer.
 """
 
@@ -30,7 +30,6 @@ from pathlib import Path
 from ..errors import ReplicationError, ServerError
 from ..server.server import ServerHandle, serve_in_thread
 from ..server.service import ProvenanceService, ServerConfig
-from ..wal.engine import JournaledEngine
 from .follower import FollowerCore
 from .hub import DEFAULT_BUFFER_RECORDS, ReplicationHub, ReplicationListener
 
@@ -102,9 +101,6 @@ def serve_primary(
         )
     server = serve_in_thread(database, config, start_timeout=start_timeout)
     engine = server.service.engine
-    if not isinstance(engine, JournaledEngine):  # pragma: no cover - config gate
-        server.stop()
-        raise ServerError("primary engine is not journaled")
     hub = ReplicationHub(engine.journal, buffer_records=buffer_records)
     listener = ReplicationListener(
         hub,
@@ -148,9 +144,7 @@ class FollowerNode:
 
         def factory() -> ProvenanceService:
             service = ProvenanceService(engine, self.config)
-            service.role = "follower"
-            service.applier = self.core.applier
-            service._version = self.core.applier.applied_seq
+            service.follow()
             service.replication = self._replication_info
             service.promoter = self.promote
             return service
@@ -188,18 +182,26 @@ class FollowerNode:
 
     # -- the stream pump -------------------------------------------------------
 
+    def _await(self, admission, timeout: float | None = None):
+        """Wait (off-loop) for a service admission's result."""
+        return asyncio.run_coroutine_threadsafe(
+            admission, self._handle._loop
+        ).result(timeout)
+
     def _ship(self, shipments: list) -> None:
-        # Hop onto the service's writer via a replicate admission and wait
-        # for it — the receiver thread never outruns the writer, which is
-        # the natural backpressure bounding memory under a fast primary.
-        # Chunked to ``apply_batch`` records per admission so concurrent
-        # reads never wait out one giant catch-up batch on the writer.
+        # Hop onto the service's writer and wait for it — the receiver
+        # thread never outruns the writer, which is the natural
+        # backpressure bounding memory under a fast primary, and readers
+        # see whole shipped batches.  Chunked to ``apply_batch`` records
+        # per admission so concurrent reads never wait out one giant
+        # catch-up batch on the writer.
         for base in range(0, len(shipments), self.apply_batch):
-            future = asyncio.run_coroutine_threadsafe(
-                self.service.replicate(shipments[base : base + self.apply_batch]),
-                self._handle._loop,
+            chunk = shipments[base : base + self.apply_batch]
+            self._await(
+                self.service.fold_shipped(
+                    lambda chunk=chunk: self.core.applier.apply_lines(chunk)
+                )
             )
-            future.result()
 
     def _receive_loop(self) -> None:
         try:
@@ -223,10 +225,9 @@ class FollowerNode:
             raise ReplicationError(
                 f"cannot promote a diverged follower: {self.stream_error}"
             )
-        future = asyncio.run_coroutine_threadsafe(
-            self.service.promote(), self._handle._loop
+        return self._await(
+            self.service.leave_follower(self.core.applier.promote), timeout=30
         )
-        return future.result(timeout=30)
 
     def stop(self, checkpoint: bool = True) -> None:
         self.core.stop()

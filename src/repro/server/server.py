@@ -262,7 +262,7 @@ class ProvenanceServer:
             "server": {
                 "version": __version__,
                 "protocol": PROTOCOL_REVISION,
-                "policy": getattr(self.service.engine, "policy", None),
+                "policy": self.service.engine.policy,
                 "backend": self.service.config.backend,
                 "role": self.service.role,
                 "snapshot_version": self.service.version,
@@ -345,7 +345,7 @@ class ProvenanceServer:
                 "ships the Boolean Update-Structure (use the library API for "
                 "arbitrary structures)"
             )
-        policy = getattr(self.service.engine, "policy", None)
+        policy = self.service.engine.policy
         if policy in ("none", "no_provenance"):
             raise ServerError(f"policy {policy!r} does not track provenance")
         env = request.get("env") or {}
@@ -369,7 +369,7 @@ class ProvenanceServer:
     async def _op_tuple_vars(self, _request: dict, _conn: _Connection) -> dict:
         return {
             "ok": True,
-            "tuple_vars": encode_tuple_vars(self.service.tuple_vars()),
+            "tuple_vars": encode_tuple_vars(self.service.engine.tuple_vars()),
         }
 
     async def _op_stats(self, _request: dict, _conn: _Connection) -> dict:

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Mapping
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Mapping
 
 from ..core.expr import (
     Expr,
@@ -50,17 +49,9 @@ from ..engine.engine import Engine
 from ..errors import EngineError, ServerError
 from ..queries.pattern import Pattern
 from ..queries.updates import Transaction, UpdateQuery
-from ..shard.codec import capture_engine
+from ..shard.codec import capture_engine, exprs_of
 from ..shard.engine import ShardedEngine
-from ..views import (
-    DeltaBuffer,
-    StandingView,
-    ViewRegistry,
-    attach_delta_sink,
-    delta_capable,
-    flush_pending,
-    local_engines,
-)
+from ..views import DeltaBuffer, StandingView, ViewRegistry
 from ..wal.checkpoint import DEFAULT_EVERY_RECORDS, CheckpointManager
 from ..wal.engine import JournaledEngine
 
@@ -112,7 +103,6 @@ class Snapshot:
 
     version: int
     state: Mapping[str, Mapping[tuple, tuple["Expr | None", bool]]]
-    stats: Mapping[str, float | int]
 
 
 @dataclass
@@ -125,16 +115,6 @@ class ServiceCounters:
     max_admitted: int = 0  #: largest fusion achieved by one cycle
     captures: int = 0  #: snapshots captured and published
     apply_errors: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "admitted": self.admitted,
-            "writer_cycles": self.writer_cycles,
-            "fused_runs": self.fused_runs,
-            "max_admitted": self.max_admitted,
-            "captures": self.captures,
-            "apply_errors": self.apply_errors,
-        }
 
 
 def build_engine(database: Database | None, config: ServerConfig):
@@ -213,10 +193,17 @@ def build_engine(database: Database | None, config: ServerConfig):
 
 @dataclass
 class _Admission:
-    """One queue entry awaiting the writer."""
+    """One queue entry awaiting the writer.
 
-    kind: str  #: apply | capture | stats | checkpoint | close
+    Every entry is a callable the writer runs at a quiescent point, bar
+    the two kinds the writer itself must recognise: ``apply``, the only
+    fusable entry (contiguous ones become one engine call), and
+    ``close``, the barrier that stops the writer.
+    """
+
+    kind: str  #: run | apply | close
     future: asyncio.Future
+    operation: Callable[[], object] | None = None
     items: list = field(default_factory=list)
     batch: bool = False
     n_queries: int = 0
@@ -232,19 +219,16 @@ class ProvenanceService:
         if self.config.admission_max < 1:
             raise ServerError("admission_max must be >= 1")
         self.counters = ServiceCounters()
-        #: ``primary`` serves writes; ``follower`` rejects them and folds
-        #: shipped journal frames in through ``replicate`` admissions
-        #: instead (see :mod:`repro.replication.node`).
+        #: ``primary`` serves writes; ``follower`` rejects them — its
+        #: replication node folds shipped journal frames in through
+        #: :meth:`fold_shipped` admissions instead (see :meth:`follow`).
         self.role = "primary"
-        #: Follower-only: the :class:`ShipmentApplier` the ``replicate``
-        #: admission feeds (owns the journal the engine detached).
-        self.applier = None
         #: Follower-only hooks installed by the node: ``promoter()`` runs
-        #: the whole promotion (stop the stream, then the ``promote``
-        #: admission); ``replication()`` reports stream health for stats.
+        #: the whole promotion (stop the stream, then flip the role on the
+        #: writer); ``replication()`` reports stream health for stats.
         self.promoter = None
         self.replication = None
-        self.schema = getattr(engine, "schema", None) or engine.executor.schema
+        self.schema = engine.schema
         self._queue: asyncio.Queue[_Admission] = asyncio.Queue()
         self._version = 0
         self._snapshot: Snapshot | None = None
@@ -280,6 +264,16 @@ class ProvenanceService:
 
     # -- lifecycle -------------------------------------------------------------
 
+    def follow(self) -> None:
+        """Serve as a read-only follower (call before :meth:`start`).
+
+        A follower's version *is* the journal sequence its follower-mode
+        engine has applied; :meth:`fold_shipped` advances it and
+        :meth:`leave_follower` ends the mode.
+        """
+        self.role = "follower"
+        self._version = self.engine.last_seq
+
     def start(self) -> None:
         """Start the writer task on the running event loop."""
         if self._writer_task is None:
@@ -290,8 +284,8 @@ class ProvenanceService:
 
         Every admission enqueued before the close barrier is still served;
         later ones are rejected with :class:`ServerError`.  ``checkpoint``
-        mirrors :meth:`JournaledEngine.close` — pass ``False`` to leave
-        journal tails for recovery (a simulated crash).
+        is the engine contract's ``close(checkpoint=...)`` — pass ``False``
+        to leave journal tails for recovery (a simulated crash).
         """
         if self._closed:
             return
@@ -301,25 +295,23 @@ class ProvenanceService:
             return
         self._closing = True
         loop = asyncio.get_running_loop()
-        if self._writer_task is not None and self._writer_task.done():
-            # The writer died on an internal error; a queued close barrier
-            # would never be served, so close the engine directly (still on
-            # the dedicated worker thread).
-            try:
-                await loop.run_in_executor(
-                    self._executor, self._close_engine, checkpoint
-                )
-            finally:
-                self._closed = True
-                self._executor.shutdown(wait=True)
-            return
-        future = loop.create_future()
-        await self._queue.put(_Admission("close", future, checkpoint=checkpoint))
         try:
-            await future
+            if self._writer_task is not None and self._writer_task.done():
+                # The writer died on an internal error; a queued close
+                # barrier would never be served, so close the engine
+                # directly (still on the dedicated worker thread).
+                await loop.run_in_executor(
+                    self._executor, self.engine.close, checkpoint
+                )
+                return
+            future = loop.create_future()
+            self._queue.put_nowait(_Admission("close", future, checkpoint=checkpoint))
+            try:
+                await future
+            finally:
+                if self._writer_task is not None:
+                    await self._writer_task
         finally:
-            if self._writer_task is not None:
-                await self._writer_task
             self._closed = True
             self._executor.shutdown(wait=True)
 
@@ -342,6 +334,17 @@ class ProvenanceService:
         if self._writer_task.done():
             raise ServerError("provenance service writer failed; restart the server")
 
+    def _admit(self, operation=None, kind: str = "run", **fields) -> asyncio.Future:
+        """Enqueue one admission; the future resolves to its outcome.
+
+        ``operation`` runs on the writer thread between admitted groups —
+        the quiescent point every engine-contract call requires.
+        """
+        self._check_open()
+        future = asyncio.get_running_loop().create_future()
+        self._queue.put_nowait(_Admission(kind, future, operation, **fields))
+        return future
+
     async def apply(self, items: Iterable[UpdateQuery | Transaction], batch: bool = False) -> dict:
         """Admit a decoded item sequence; resolves once applied."""
         self._check_open()
@@ -354,27 +357,22 @@ class ProvenanceService:
         n_queries = sum(
             len(item) if isinstance(item, Transaction) else 1 for item in items
         )
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(
-            _Admission("apply", future, items=items, batch=batch, n_queries=n_queries)
+        return await self._admit(
+            kind="apply", items=items, batch=batch, n_queries=n_queries
         )
-        return await future
 
     async def snapshot(self) -> Snapshot:
         """The newest published snapshot, capturing one if stale.
 
-        Concurrent stale readers coalesce onto a single ``capture``
+        Concurrent stale readers coalesce onto a single capture
         admission; the writer serves it at the next quiescent point.
         """
         snap = self._snapshot
         if snap is not None and snap.version == self._version:
             return snap
-        self._check_open()
         pending = self._pending_capture
         if pending is None or pending.done():
-            pending = asyncio.get_running_loop().create_future()
-            self._pending_capture = pending
-            await self._queue.put(_Admission("capture", pending))
+            pending = self._pending_capture = self._admit(self._capture)
         # shield: one cancelled reader must not cancel the shared capture.
         return await asyncio.shield(pending)
 
@@ -388,22 +386,14 @@ class ProvenanceService:
         after a flush, but the invariant should not depend on that).
         """
         snapshot = self._snapshot
-        if snapshot is not None:
-            for rows in snapshot.state.values():
-                for ann, _live in rows.values():
-                    if ann is not None:
-                        yield ann
-        for view in self.views.views():
-            for ann, _live in view.rows.values():
-                if ann is not None:
-                    yield ann
+        held = list(snapshot.state.values()) if snapshot is not None else []
+        return exprs_of(held + [view.rows for view in self.views.views()])
 
     def memory_stats(self) -> dict:
         """The ``memory`` block of the ``stats`` op."""
         from ..memory import current_rss_bytes, peak_rss_bytes
 
-        store = getattr(getattr(self.engine, "executor", None), "store", None)
-        arena = getattr(store, "arena", None) if store is not None else None
+        arena_nodes, arena_bytes = self.engine.arena_size()
         return {
             "rss_bytes": current_rss_bytes(),
             "peak_rss_bytes": peak_rss_bytes(),
@@ -411,23 +401,20 @@ class ProvenanceService:
             "sweep_every": self.config.sweep_every,
             "sweep": intern_sweep_stats(),
             "last_sweep": self._last_sweep,
-            "arena_nodes": arena.node_count if arena is not None else 0,
-            "arena_bytes": arena.nbytes() if arena is not None else 0,
+            "arena_nodes": arena_nodes,
+            "arena_bytes": arena_bytes,
         }
 
     async def stats(self) -> dict:
         """Engine counters observed at a quiescent point, plus admission counters."""
-        self._check_open()
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Admission("stats", future))
-        engine_stats = await future
+        engine_stats = await self._admit(lambda: self.engine.stats.snapshot())
         return {
             "engine": engine_stats,
             "server": {
-                **self.counters.as_dict(),
+                **asdict(self.counters),
                 "version": self._version,
                 "backend": self.config.backend,
-                "policy": getattr(self.engine, "policy", None),
+                "policy": self.engine.policy,
                 "admission_max": self.config.admission_max,
                 "role": self.role,
             },
@@ -441,40 +428,35 @@ class ProvenanceService:
 
     async def checkpoint(self) -> int:
         """Force a durability checkpoint; returns checkpoints written."""
-        self._check_open()
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Admission("checkpoint", future))
-        return await future
+        return await self._admit(self.engine.checkpoint)
 
-    async def replicate(self, shipments: list) -> dict:
-        """Fold shipped journal frames in (follower role only).
-
-        ``shipments`` is the ``[(record, line), ...]`` batch the stream
-        receiver assembled; applying it on the writer thread serializes
-        replication with reads, so readers see whole shipped batches and
-        the published snapshot's version *is* the applied journal seq.
+    async def fold_shipped(self, fold) -> int:
+        """Follower: run ``fold()`` — it hands one shipped batch to the
+        engine and returns the frames applied — at a quiescent point, then
+        stand at the sequence reached.  Readers see whole shipped batches.
         """
-        self._check_open()
-        if self.applier is None:
-            raise ServerError("this server is not a replication follower")
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Admission("replicate", future, items=shipments))
-        return await future
 
-    async def promote(self) -> dict:
-        """Turn this follower into a writer (after its stream stopped).
+        def operation() -> int:
+            applied = fold()
+            self._version = self.engine.last_seq
+            self.counters.admitted += applied
+            return applied
 
-        Reattaches the journal to the engine on the writer thread, so the
-        role flip is atomic with respect to every admission: applies
-        admitted before it are rejected as read-only, applies after it
-        journal normally, continuing the shipped sequence.
+        return await self._admit(operation)
+
+    async def leave_follower(self, promote) -> dict:
+        """Run ``promote()`` (the engine returns to writing) and flip the
+        role in one admission, so the change is atomic with respect to every
+        other: applies admitted before it were rejected as read-only,
+        applies after it journal normally, continuing the shipped sequence.
         """
-        self._check_open()
-        if self.applier is None:
-            raise ServerError("this server is not a replication follower")
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Admission("promote", future))
-        return await future
+
+        def operation() -> dict:
+            promote()
+            self.role = "primary"
+            return {"role": "primary", "seq": self.engine.last_seq}
+
+        return await self._admit(operation)
 
     async def subscribe(
         self, relation: str, pattern: Pattern
@@ -488,25 +470,13 @@ class ProvenanceService:
         ``view.rows`` belongs to the writer thread and keeps advancing, so
         transports must encode the copy, never the view.
         """
-        self._check_open()
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(
-            _Admission("subscribe", future, items=[(str(relation), pattern)])
-        )
-        return await future
+        relation = str(relation)
+        return await self._admit(lambda: self._register_view(relation, pattern))
 
     async def unsubscribe(self, view_id: int) -> bool:
         """Drop a standing view; resolves to whether it existed."""
-        self._check_open()
-        future = asyncio.get_running_loop().create_future()
-        await self._queue.put(_Admission("unsubscribe", future, items=[int(view_id)]))
-        return await future
-
-    def tuple_vars(self) -> dict[str, dict[tuple, str]]:
-        """Initial-tuple annotation names (static after construction)."""
-        if isinstance(self.engine, ShardedEngine):
-            return self.engine._tuple_vars
-        return getattr(self.engine.executor, "_tuple_vars", {})
+        view_id = int(view_id)
+        return await self._admit(lambda: self.views.unregister(view_id))
 
     # -- the writer ------------------------------------------------------------
 
@@ -557,44 +527,6 @@ class ProvenanceService:
                     group.append(batch[index + len(group)])
                 index += len(group)
                 self._apply_group(group, outcomes)
-            elif entry.kind == "capture":
-                index += 1
-                outcomes.append((entry.future, self._outcome_of(self._capture)))
-            elif entry.kind == "stats":
-                index += 1
-                outcomes.append(
-                    (entry.future, self._outcome_of(self.engine.stats.snapshot))
-                )
-            elif entry.kind == "checkpoint":
-                index += 1
-                outcomes.append((entry.future, self._outcome_of(self._checkpoint_now)))
-            elif entry.kind == "replicate":
-                index += 1
-                shipments = entry.items
-                outcomes.append(
-                    (entry.future, self._outcome_of(lambda: self._replicate(shipments)))
-                )
-            elif entry.kind == "promote":
-                index += 1
-                outcomes.append((entry.future, self._outcome_of(self._promote)))
-            elif entry.kind == "subscribe":
-                index += 1
-                relation, pattern = entry.items[0]
-                outcomes.append(
-                    (
-                        entry.future,
-                        self._outcome_of(lambda: self._register_view(relation, pattern)),
-                    )
-                )
-            elif entry.kind == "unsubscribe":
-                index += 1
-                view_id = entry.items[0]
-                outcomes.append(
-                    (
-                        entry.future,
-                        self._outcome_of(lambda: self.views.unregister(view_id)),
-                    )
-                )
             elif entry.kind == "close":
                 # Anything admitted after the close barrier is rejected.
                 for late in batch[index + 1 :]:
@@ -602,17 +534,21 @@ class ProvenanceService:
                         (late.future, ServerError("provenance service is shut down"))
                     )
                 try:
-                    self._close_engine(entry.checkpoint)
+                    self.engine.close(checkpoint=entry.checkpoint)
                 except Exception as exc:  # noqa: BLE001 - shipped to the closer
                     outcomes.append((entry.future, ServerError(f"close failed: {exc}")))
                 else:
                     outcomes.append((entry.future, True))
                 return outcomes, True
-            else:  # pragma: no cover - admission kinds are internal
+            else:
                 index += 1
-                outcomes.append(
-                    (entry.future, ServerError(f"unknown admission {entry.kind!r}"))
-                )
+                try:
+                    outcome = entry.operation()
+                except Exception as exc:  # noqa: BLE001 - shipped to the one requester
+                    # An exception escaping here would kill the writer and
+                    # deadlock every later admission (including close).
+                    outcome = exc
+                outcomes.append((entry.future, outcome))
         # End of cycle on the writer thread — the same quiescent point that
         # publishes snapshots: drain accumulated row deltas, advance the
         # standing views, and hand matched deltas to the push transport.
@@ -622,23 +558,8 @@ class ProvenanceService:
             # End of cycle on the writer thread: no admission is in flight,
             # so this is the quiescent point the sweep contract requires.
             self._last_sweep = sweep_intern_table().as_dict()
-            store = getattr(getattr(self.engine, "executor", None), "store", None)
-            if store is not None and getattr(store, "arena", None) is not None:
-                store.compact_arena()
+            self.engine.compact_arena()
         return outcomes, False
-
-    @staticmethod
-    def _outcome_of(operation):
-        """Run one admission's work; a failure is that admission's outcome.
-
-        The writer task must survive any single request's failure — an
-        exception escaping :meth:`_process` would kill the writer and
-        deadlock every later admission (including close).
-        """
-        try:
-            return operation()
-        except Exception as exc:  # noqa: BLE001 - shipped to the one requester
-            return exc
 
     def _apply_group(self, group: list[_Admission], outcomes: list) -> None:
         """Apply one fused run of contiguous apply admissions."""
@@ -670,30 +591,15 @@ class ProvenanceService:
             self.counters.fused_runs += 1
         self.counters.max_admitted = max(self.counters.max_admitted, len(group))
         outcome = {"applied": 0, "version": self._version}
-        journal = getattr(self.engine, "journal", None)
-        if journal is not None:
+        seq = self.engine.last_seq
+        if seq is not None:
             # The durable sequence this group reached: what a replication
             # client compares follower versions against (staleness bound).
-            outcome["seq"] = journal.last_seq
+            outcome["seq"] = seq
         for entry in group:
             outcomes.append(
                 (entry.future, {**outcome, "applied": entry.n_queries})
             )
-
-    # -- replication (writer thread only) ---------------------------------------
-
-    def _replicate(self, shipments: list) -> dict:
-        """Apply one shipped batch; the follower's version is its seq."""
-        applied = self.applier.apply_lines(shipments)
-        self._version = self.applier.applied_seq
-        self.counters.admitted += applied
-        return {"applied": applied, "seq": self.applier.applied_seq}
-
-    def _promote(self) -> dict:
-        """Reattach the journal and flip the role (writer thread)."""
-        self.applier.promote()
-        self.role = "primary"
-        return {"role": "primary", "seq": self.engine.journal.last_seq}
 
     # -- live views (writer thread only) ---------------------------------------
 
@@ -704,41 +610,20 @@ class ProvenanceService:
         if relation not in self.schema.names:
             raise ServerError(f"unknown relation {relation!r}")
         if self._delta_buffer is None:
-            if not delta_capable(self.engine):
-                raise ServerError(
-                    "this backend cannot maintain live views: executors must "
-                    "emit row deltas in-process (unsupported: process-pool "
-                    "sharding and the MV policies)"
-                )
             buffer = DeltaBuffer()
-            attach_delta_sink(self.engine, buffer)
+            try:
+                self.engine.attach_deltas(buffer)
+            except EngineError as exc:
+                raise ServerError(
+                    f"this backend cannot maintain live views: {exc}"
+                ) from exc
             self._delta_buffer = buffer
         view = self.views.register(relation, pattern)
-        self._seed_view(view)
-        return view, view.state(), view.version
-
-    def _seed_view(self, view: StandingView) -> None:
-        """Seed through the store's pattern planner — O(matched), not O(relation).
-
-        Pending deferred work flushes first so the seed shows normalized
-        annotations (exactly what a capture at this version would show);
-        shard stores hold disjoint rows, so merging their matches is a
-        plain union.
-        """
-        flush_pending(self.engine)
-        rows: dict[tuple, tuple] = {}
-        for engine in local_engines(self.engine):
-            executor = engine.executor
-            relation_store = executor.store.relation(view.relation)
-            slots = relation_store.rows
-            for rid, row in relation_store.matching(view.pattern):
-                ann = slots.annotation(rid)
-                rows[row] = (
-                    None if ann is None else executor._expr_of(ann),
-                    slots.is_live(rid),
-                )
-        view.rows = rows
+        # Planner-backed and flushed first: exactly what a capture at this
+        # version would show for the slice, in O(matched).
+        view.rows = self.engine.match_rows(relation, pattern)
         view.version = self._version
+        return view, view.state(), view.version
 
     def _flush_deltas(self) -> None:
         """Drain the delta buffer into a version-stamped batch and fan out."""
@@ -748,7 +633,7 @@ class ProvenanceService:
         # The deferred-normalization flush emits its annotation rewrites
         # *into this batch*, so every batch reflects exactly the state a
         # same-version capture observes.
-        flush_pending(self.engine)
+        self.engine.flush_pending()
         if not buffer:
             return
         batch = buffer.drain(self._version)
@@ -759,60 +644,7 @@ class ProvenanceService:
 
     def _capture(self) -> Snapshot:
         """Capture and publish a snapshot (writer thread, quiescent point)."""
-        if isinstance(self.engine, ShardedEngine):
-            state = self.engine.state()
-        else:
-            state = capture_engine(self.engine)
-        snapshot = Snapshot(
-            version=self._version, state=state, stats=self.engine.stats.snapshot()
-        )
+        snapshot = Snapshot(version=self._version, state=capture_engine(self.engine))
         self._snapshot = snapshot
         self.counters.captures += 1
         return snapshot
-
-    def _checkpoint_now(self) -> int:
-        if isinstance(self.engine, ShardedEngine):
-            if not self.engine.journaled:
-                raise EngineError("sharded backend is not journaled; pass directory=")
-            return int(self.engine.checkpoint())
-        if isinstance(self.engine, JournaledEngine):
-            if self.engine.journal is None:
-                # Follower: the applier owns the journal and checkpoints
-                # only at shipped flush boundaries — a forced checkpoint
-                # here could observe provenance mid-transaction and flush
-                # the normal_form_batch policy at a point the primary
-                # never did.
-                raise EngineError(
-                    "followers checkpoint from the shipped stream; force "
-                    "checkpoints on the primary"
-                )
-            return int(self.engine.checkpoint())
-        raise EngineError("backend 'plain' keeps no durable state to checkpoint")
-
-    def _close_engine(self, checkpoint: bool) -> None:
-        """Graceful shutdown: flush pending normalization, then close.
-
-        * sharded — drain buffered runs, checkpoint journaled shards, stop
-          workers (:meth:`ShardedEngine.close`);
-        * journaled — force a final checkpoint so the next start recovers
-          instantly from a clean directory (:meth:`JournaledEngine.close`);
-        * plain — one observation flush, so the ``normal_form_batch``
-          policy's deferred normalization is not silently dropped work.
-        """
-        engine = self.engine
-        if isinstance(engine, ShardedEngine):
-            engine.close(checkpoint=checkpoint and engine.journaled)
-        elif isinstance(engine, JournaledEngine):
-            if engine.journal is None and self.applier is not None:
-                # Follower: no forced checkpoint (the stream may be
-                # mid-transaction); the journal tail replays on the next
-                # bootstrap exactly as after a crash.
-                self.applier.close()
-            else:
-                engine.close(checkpoint=checkpoint)
-        else:
-            engine.support_count()
-
-    @property
-    def directory(self) -> Path | None:
-        return Path(self.config.directory) if self.config.directory else None

@@ -26,10 +26,9 @@ the process-global intern table across worker boundaries (see
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..core.expr import Expr
-from ..engine.engine import Engine
 from ..queries.updates import Transaction, UpdateQuery
 from ..storage.exprjson import expr_from_dict, expr_to_dict, exprs_from_arena, exprs_to_arena
 from ..workloads.logs import query_from_dict, query_to_dict
@@ -43,6 +42,7 @@ __all__ = [
     "decode_tuple_vars",
     "encode_capture",
     "encode_tuple_vars",
+    "exprs_of",
     "items_to_events",
 ]
 
@@ -77,22 +77,24 @@ def decode_events(events: Iterable[tuple[str, object]]) -> list[tuple[str, objec
     ]
 
 
-def capture_engine(engine: Engine) -> Capture:
-    """The engine's full annotated state, keyed by row.
+def exprs_of(row_maps: Iterable[dict]) -> Iterator[Expr]:
+    """Every expression held by some ``{row: (expression, live)}`` maps —
+    a sweep root set, or the input of a size measure (``None`` skipped)."""
+    for rows in row_maps:
+        for expr, _live in rows.values():
+            if expr is not None:
+                yield expr
 
-    Goes through :meth:`Engine.provenance` so the ``normal_form_batch``
-    policy flushes first, exactly as before any other observation.  The
-    vanilla policy captures ``None`` annotations (its support is its live
-    rows; storing a uniform ``0`` would only inflate the wire payload).
+
+def capture_engine(engine) -> Capture:
+    """Any backend's full annotated state, keyed by row.
+
+    The capture itself is the engine contract's
+    :meth:`~repro.engine.engine.Engine.capture`; this is the wire
+    vocabulary's name for it — what the service, the shard coordinator
+    and the shard workers call before :func:`encode_capture`.
     """
-    tracks = engine.executor.tracks_provenance
-    capture: Capture = {}
-    for name in engine.executor.schema.names:
-        capture[name] = {
-            row: (expr if tracks else None, live)
-            for row, expr, live in engine.provenance(name)
-        }
-    return capture
+    return engine.capture()
 
 
 #: Marker key of the arena-form capture payload.  Relation names come from

@@ -51,7 +51,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ..core.expr import Expr, ZERO, evaluate, register_expr_roots
+from ..core.expr import Expr, ZERO, dag_size, register_expr_roots
 from ..db.database import Database
 from ..engine.engine import Engine
 from ..engine.stats import EngineStats
@@ -59,7 +59,7 @@ from ..errors import EngineError
 from ..queries.updates import Transaction, UpdateQuery
 from ..wal.checkpoint import DEFAULT_EVERY_RECORDS
 from ..wal.engine import JournaledEngine
-from .codec import Capture, capture_engine
+from .codec import Capture, capture_engine, exprs_of
 from .partition import ShardMap, partition_database
 from .router import route_query
 
@@ -118,16 +118,11 @@ class _LocalShards:
         return self.engines[shard].annotation_of(relation, row)
 
     def checkpoint(self) -> int:
-        return sum(
-            1
-            for engine in self.engines
-            if isinstance(engine, JournaledEngine) and engine.checkpoint()
-        )
+        return sum(engine.checkpoint() for engine in self.engines)
 
     def close(self, checkpoint: bool = True) -> None:
         for engine in self.engines:
-            if isinstance(engine, JournaledEngine) and not engine.journal.closed:
-                engine.close(checkpoint=checkpoint)
+            engine.close(checkpoint=checkpoint)
 
 
 class _ProcessShards:
@@ -313,6 +308,7 @@ class ShardedEngine:
         checkpoint_every: int = DEFAULT_EVERY_RECORDS,
         sweep_every: int = 0,
         clock: Callable[[], float] = time.perf_counter,
+        _resume=None,
     ):
         if policy not in SHARDABLE_POLICIES:
             raise EngineError(
@@ -320,68 +316,44 @@ class ShardedEngine:
                 f"(shardable: {', '.join(SHARDABLE_POLICIES)})"
             )
         self.policy = policy
-        self.schema = database.schema
-        self.shard_map = ShardMap(database.schema, n_shards, shard_keys)
-        self.parallel = parallel
-        self.journaled = journal_dir is not None
-        self.recovery = None
         self.sweep_every = sweep_every
         self._clock = clock
+        # Logical coordinator counters restart on recovery; the additive
+        # per-shard counters (matching work, planner decisions) continue
+        # from their restored baselines and are what ``stats`` sums.
         self._stats = EngineStats()
-        self._applied: list[UpdateQuery] = []
         self._capture_cache: Capture | None = None
-        self._tuple_vars = self._assign_tuple_vars(database, annotate)
-        parts = partition_database(database, self.shard_map)
-        if journal_dir is not None:
-            Path(journal_dir).mkdir(parents=True, exist_ok=True)
-        self._backend = self._build_backend(
-            parts, journal_dir, sync, checkpoint_every, parallel, sweep_every
-        )
+        if _resume is not None:
+            # Already-recovered shards (see shard.recovery.recover_sharded).
+            self.shard_map, self._backend, self._tuple_vars, self.recovery = _resume
+            self.schema = self.shard_map.schema
+            self.journaled = True
+        else:
+            self.schema = database.schema
+            self.shard_map = ShardMap(database.schema, n_shards, shard_keys)
+            self.journaled = journal_dir is not None
+            self.recovery = None
+            self._tuple_vars = self._assign_tuple_vars(database, annotate)
+            parts = partition_database(database, self.shard_map)
+            if journal_dir is not None:
+                Path(journal_dir).mkdir(parents=True, exist_ok=True)
+            self._backend = self._build_backend(
+                parts, journal_dir, sync, checkpoint_every, parallel, sweep_every
+            )
+            if journal_dir is not None:
+                # Written only after every shard directory initialized cleanly.
+                write_manifest(
+                    journal_dir,
+                    self.shard_map,
+                    policy=policy,
+                    sync=sync,
+                    checkpoint_every=checkpoint_every,
+                )
+        self.parallel = self._backend.parallel
         # Coordinator-side sweep roots: sequential shard stores register
         # themselves; the merged-capture cache is the extra root only the
         # coordinator holds (readers may still be using it).
         register_expr_roots(self)
-        if journal_dir is not None:
-            # Written only after every shard directory initialized cleanly.
-            write_manifest(
-                journal_dir,
-                self.shard_map,
-                policy=policy,
-                sync=sync,
-                checkpoint_every=checkpoint_every,
-            )
-
-    @classmethod
-    def _resumed(
-        cls,
-        shard_map: ShardMap,
-        backend,
-        policy: str,
-        tuple_vars: dict[str, dict[tuple, str]],
-        recovery,
-        sweep_every: int = 0,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> "ShardedEngine":
-        """Assemble an engine around already-recovered shards."""
-        engine = object.__new__(cls)
-        engine.policy = policy
-        engine.schema = shard_map.schema
-        engine.shard_map = shard_map
-        engine.parallel = backend.parallel
-        engine.journaled = True
-        engine.recovery = recovery
-        engine.sweep_every = sweep_every
-        engine._clock = clock
-        # Logical coordinator counters restart on recovery; the additive
-        # per-shard counters (matching work, planner decisions) continue
-        # from their restored baselines and are what ``stats`` sums.
-        engine._stats = EngineStats()
-        engine._applied = []
-        engine._capture_cache = None
-        engine._tuple_vars = tuple_vars
-        engine._backend = backend
-        register_expr_roots(engine)
-        return engine
 
     # -- construction helpers -------------------------------------------------
 
@@ -395,7 +367,7 @@ class ShardedEngine:
         by ``repr`` — so shard engines, each seeing only its partition,
         still assign the very names the unsharded engine would.
         """
-        if self.policy in ("none", "no_provenance"):
+        if not self.tracks_provenance:
             return {}
         namer = annotate or (lambda relation, row, i: f"x{i}")
         names: dict[str, dict[tuple, str]] = {}
@@ -508,7 +480,6 @@ class ShardedEngine:
                 for shard in route_query(item, self.shard_map):
                     buckets.setdefault(shard, []).append(item)
                 kinds.append(item.kind)
-                self._applied.append(item)
             elif isinstance(item, Transaction):
                 flush_segment()
                 self._apply_transaction(item, batch=True)
@@ -529,7 +500,6 @@ class ShardedEngine:
         for shard in shards:
             self._backend.apply_item(shard, query, batch=batch)
         self._record([query.kind], self._clock() - start)
-        self._applied.append(query)
         self._capture_cache = None
 
     def _apply_transaction(self, txn: Transaction, batch: bool) -> None:
@@ -546,7 +516,6 @@ class ShardedEngine:
             )
         self._record([query.kind for query in txn], self._clock() - start)
         self._stats.transactions += 1
-        self._applied.extend(txn.queries)
         self._capture_cache = None
 
     def _record(self, kinds: list[str], elapsed: float) -> None:
@@ -556,10 +525,6 @@ class ShardedEngine:
         share = elapsed / len(kinds)
         for kind in kinds:
             self._stats.record(kind, 0, 0, share)
-
-    @property
-    def applied_queries(self) -> tuple[UpdateQuery, ...]:
-        return tuple(self._applied)
 
     # -- merged observation ---------------------------------------------------
 
@@ -582,13 +547,7 @@ class ShardedEngine:
         cached merged capture — decoded (re-interned) expressions readers
         may still reference between an observation and the next apply.
         """
-        cache = self._capture_cache
-        if cache is None:
-            return
-        for rows in cache.values():
-            for ann, _live in rows.values():
-                if ann is not None:
-                    yield ann
+        return exprs_of((self._capture_cache or {}).values())
 
     def _relation_state(self, relation: str) -> dict[tuple, tuple[Expr | None, bool]]:
         merged = self._merged()
@@ -596,12 +555,11 @@ class ShardedEngine:
             raise EngineError(f"unknown relation {relation!r}")
         return merged[relation]
 
-    def state(self) -> dict[str, dict[tuple, tuple[Expr | None, bool]]]:
+    def capture(self) -> Capture:
         """A detached ``{relation: {row: (expression, live)}}`` capture.
 
-        The sharded analogue of
-        :meth:`~repro.store.annotation_store.AnnotationStore.state` —
-        always expression-valued (``None`` for the vanilla policy),
+        The merged analogue of :meth:`Engine.capture` — always
+        expression-valued (``None`` for the vanilla policy),
         whatever the shard executors store internally.
         """
         return {name: dict(rows) for name, rows in self._merged().items()}
@@ -646,14 +604,6 @@ class ShardedEngine:
             return ZERO if entry is None or entry[0] is None else entry[0]
         return self._backend.annotation_of(shard, relation, target)
 
-    def tuple_var(self, relation: str, row: Iterable[object]) -> str | None:
-        return self._tuple_vars.get(relation, {}).get(tuple(row))
-
-    def tuple_var_names(self) -> frozenset[str]:
-        return frozenset(
-            name for names in self._tuple_vars.values() for name in names.values()
-        )
-
     # -- measurements ---------------------------------------------------------
 
     def support_count(self) -> int:
@@ -668,12 +618,7 @@ class ShardedEngine:
         )
 
     def provenance_size(self) -> int:
-        return sum(
-            expr.size()
-            for rows in self._merged().values()
-            for (expr, _live) in rows.values()
-            if expr is not None
-        )
+        return sum(expr.size() for expr in exprs_of(self._merged().values()))
 
     def provenance_dag_size(self) -> int:
         """Distinct expression nodes across the *merged* provenance.
@@ -683,20 +628,7 @@ class ShardedEngine:
         the coordinator) counts once — exactly the unsharded metric, not
         a sum of per-shard DAG sizes.
         """
-        seen: set[int] = set()
-        stack: list[Expr] = []
-        for rows in self._merged().values():
-            for expr, _live in rows.values():
-                if expr is None or id(expr) in seen:
-                    continue
-                stack.append(expr)
-                while stack:
-                    node = stack.pop()
-                    if id(node) in seen:
-                        continue
-                    seen.add(id(node))
-                    stack.extend(c for c in node.children if id(c) not in seen)
-        return len(seen)
+        return dag_size(exprs_of(self._merged().values()))
 
     @property
     def stats(self) -> EngineStats:
@@ -728,40 +660,63 @@ class ShardedEngine:
         """Each shard engine's own counter snapshot, in shard order."""
         return self._backend.stats_snapshots()
 
+    @property
+    def tracks_provenance(self) -> bool:
+        return self.policy not in ("none", "no_provenance")
+
+    #: SHARDABLE_POLICIES leaves the MV baselines out.
+    stores_expressions = True
+
+    # One definition over the contract serves every backend.
+    tuple_var = Engine.tuple_var
+    tuple_var_names = Engine.tuple_var_names
     overhead_report = Engine.overhead_report
+    specialize = Engine.specialize
+    specialized_database = Engine.specialized_database
 
-    # -- specialization -------------------------------------------------------
+    # -- the quiescent-point contract (see Engine) -----------------------------
 
-    def specialize(
-        self,
-        structure,
-        env: Mapping[str, object] | Callable[[str], object],
-    ) -> dict[str, dict[tuple, object]]:
-        """Evaluate every stored annotation in a concrete Update-Structure."""
-        if self.policy in ("none", "no_provenance"):
-            raise EngineError(f"policy {self.policy!r} does not track provenance")
-        return {
-            name: {
-                row: evaluate(expr, structure, env)
-                for row, (expr, _live) in rows.items()
-            }
-            for name, rows in self._merged().items()
-        }
+    #: Shards journal independently: there is no single durable sequence.
+    last_seq = None
 
-    def specialized_database(
-        self,
-        structure,
-        env: Mapping[str, object] | Callable[[str], object],
-    ) -> Database:
-        """The database whose rows have non-zero specialized value."""
-        values = self.specialize(structure, env)
-        db = Database(self.schema)
-        zero = structure.zero
-        for name, rows in values.items():
-            db.extend(name, (row for row, value in rows.items() if value != zero))
-        return db
+    def tuple_vars(self) -> dict[str, dict[tuple, str]]:
+        return self._tuple_vars
 
-    # -- durability -----------------------------------------------------------
+    def _shard_engines(self) -> list[Engine]:
+        """The in-process shard engines live views hang off.  The process
+        pool keeps its executors in worker processes, out of a sink's (and
+        the store planner's) reach: the one place that says so."""
+        if self.parallel:
+            raise EngineError(
+                "delta maintenance is not supported on the process-pool shard "
+                "backend (executors live in worker processes); use parallel=False"
+            )
+        return self._backend.engines
+
+    def flush_pending(self) -> None:
+        if not self.parallel:  # workers flush before their own captures
+            for engine in self._backend.engines:
+                engine.flush_pending()
+
+    def attach_deltas(self, sink) -> None:
+        """One shared sink: shards hold disjoint rows, so it sees a
+        consistent merged stream."""
+        for engine in self._shard_engines():
+            engine.attach_deltas(sink)
+
+    def match_rows(self, relation: str, pattern) -> dict[tuple, tuple]:
+        """Shard stores hold disjoint rows, so their planner matches simply
+        union."""
+        rows: dict[tuple, tuple] = {}
+        for engine in self._shard_engines():
+            rows.update(engine.match_rows(relation, pattern))
+        return rows
+
+    def arena_size(self) -> tuple[int, int]:
+        return (0, 0)  # shard stores never keep the arena at-rest form
+
+    def compact_arena(self) -> None:
+        pass
 
     def checkpoint(self) -> int:
         """Coordinated checkpoint: every journaled shard snapshots now.
@@ -779,13 +734,8 @@ class ShardedEngine:
         """Flush pending work, checkpoint journaled shards, stop workers."""
         self._backend.close(checkpoint=checkpoint and self.journaled)
 
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, exc_type, *_exc) -> None:
-        # Mirrors JournaledEngine: an exception mid-work is a crash — keep
-        # the journal tails so recovery replays them.
-        self.close(checkpoint=exc_type is None)
+    __enter__ = Engine.__enter__
+    __exit__ = Engine.__exit__
 
 
 # ---------------------------------------------------------------------------

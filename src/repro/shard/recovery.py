@@ -176,20 +176,16 @@ def recover_sharded(
         reports = [engine.recovery.as_dict() for engine in engines]
         tuple_vars = {}
         for engine in engines:
-            for relation, names in getattr(
-                engine.executor, "_tuple_vars", {}
-            ).items():
+            for relation, names in engine.tuple_vars().items():
                 tuple_vars.setdefault(relation, {}).update(names)
 
     report = ShardedRecoveryReport(
         policy=policy, n_shards=shard_map.n_shards, shards=reports
     )
-    return ShardedEngine._resumed(
-        shard_map,
-        backend,
-        policy,
-        tuple_vars,
-        report,
+    return ShardedEngine(
+        None,
+        policy=policy,
         sweep_every=sweep_every,
         clock=clock,
+        _resume=(shard_map, backend, tuple_vars, report),
     )

@@ -82,13 +82,12 @@ def _build_engine(payload: dict) -> Engine:
 
 def _engine_payload(engine: Engine) -> dict:
     """The build/recover acknowledgement body."""
-    out: dict[str, object] = {"stats": engine.stats.snapshot()}
-    recovery = getattr(engine, "recovery", None)
-    out["recovery"] = recovery.as_dict() if recovery is not None else None
-    out["tuple_vars"] = encode_tuple_vars(
-        getattr(engine.executor, "_tuple_vars", {})
-    )
-    return out
+    recovery = engine.recovery
+    return {
+        "stats": engine.stats.snapshot(),
+        "recovery": recovery.as_dict() if recovery is not None else None,
+        "tuple_vars": encode_tuple_vars(engine.tuple_vars()),
+    }
 
 
 def shard_worker_main(conn, payload: dict) -> None:
@@ -141,13 +140,10 @@ def shard_worker_main(conn, payload: dict) -> None:
                     )
                 )
             elif command == "checkpoint":
-                written = 0
-                if isinstance(engine, JournaledEngine):
-                    written = int(engine.checkpoint())
+                written = engine.checkpoint()
                 conn.send(("ok", {"written": written, "stats": engine.stats.snapshot()}))
             elif command == "close":
-                if isinstance(engine, JournaledEngine):
-                    engine.close(checkpoint=bool(body.get("checkpoint", True)))
+                engine.close(checkpoint=bool(body.get("checkpoint", True)))
                 conn.send(("ok", {"stats": engine.stats.snapshot()}))
                 break
             else:

@@ -177,7 +177,7 @@ def restore_executor(snapshot: AnnotatedSnapshot, policy: str = "naive"):
     resume — ``naive`` and ``normal_form_batch`` (the incremental
     ``normal_form`` policy keeps Theorem 5.3 state machines that a
     detached expression does not determine).  Initial-tuple variable names
-    are not part of a snapshot, so :meth:`Executor.tuple_var` lookups on
+    are not part of a snapshot, so :meth:`Engine.tuple_var` lookups on
     the restored executor return ``None``.
     """
     from ..engine.engine import make_executor

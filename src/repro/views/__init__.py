@@ -1,7 +1,7 @@
 """Incremental live views: delta-maintained standing queries.
 
-See :mod:`repro.views.deltas` for the delta vocabulary and the engine
-hook, :mod:`repro.views.registry` for standing views, and
+See :mod:`repro.views.deltas` for the delta vocabulary, buffer and codec,
+:mod:`repro.views.registry` for standing views, and
 ``docs/ARCHITECTURE.md`` ("Live views") for the end-to-end push path.
 """
 
@@ -12,12 +12,8 @@ from .deltas import (
     RowDelta,
     apply_delta,
     apply_delta_batch,
-    attach_delta_sink,
     decode_delta_batch,
-    delta_capable,
     encode_delta_batch,
-    flush_pending,
-    local_engines,
 )
 from .registry import StandingView, ViewRegistry
 
@@ -30,10 +26,6 @@ __all__ = [
     "ViewRegistry",
     "apply_delta",
     "apply_delta_batch",
-    "attach_delta_sink",
     "decode_delta_batch",
-    "delta_capable",
     "encode_delta_batch",
-    "flush_pending",
-    "local_engines",
 ]

@@ -24,8 +24,8 @@ the key — so replaying a delta stream over a seed capture is bit-identical
 to a fresh capture at the same version (:func:`apply_delta_batch`).
 
 Executors record deltas into a :class:`DeltaBuffer` through the
-``delta_sink`` hook (see :class:`~repro.engine.executors.StoreBackedExecutor`),
-which coalesces per ``(relation, row)``: a row touched many times inside
+``delta_sink`` hook (attached with
+:meth:`~repro.engine.engine.Engine.attach_deltas`), which coalesces per ``(relation, row)``: a row touched many times inside
 one flush interval ships once, with its final annotation and liveness.
 The buffer is drained at quiescent points only — the same points that
 publish snapshots — and every drained :class:`DeltaBatch` is stamped with
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Iterator, MutableMapping
 
 from ..core.expr import Expr
-from ..errors import EngineError
 from ..storage.exprjson import exprs_from_arena, exprs_to_arena
 
 __all__ = [
@@ -53,12 +52,8 @@ __all__ = [
     "RowDelta",
     "apply_delta",
     "apply_delta_batch",
-    "attach_delta_sink",
     "decode_delta_batch",
-    "delta_capable",
     "encode_delta_batch",
-    "flush_pending",
-    "local_engines",
 ]
 
 #: Every delta kind a sink may record (see the module docstring).
@@ -103,7 +98,7 @@ class DeltaBuffer:
     ``record`` is called from executor mutation points (single-writer
     discipline: only the thread applying updates ever records); ``drain``
     is called at quiescent points only, after pending deferred work was
-    flushed (:func:`flush_pending`), so drained annotations are exactly
+    flushed (:meth:`~repro.engine.engine.Engine.flush_pending`), so drained annotations are exactly
     the ones a same-version capture observes.
     """
 
@@ -211,76 +206,3 @@ def decode_delta_batch(payload: dict) -> DeltaBatch:
             for (kind, relation, row, _root, live), expr in zip(rows, exprs)
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# Engine plumbing
-# ---------------------------------------------------------------------------
-
-
-def local_engines(engine) -> "list | None":
-    """The in-process engines behind ``engine``, or ``None`` if out of reach."""
-    from ..shard.engine import ShardedEngine
-
-    if isinstance(engine, ShardedEngine):
-        backend = engine._backend
-        if backend.parallel:
-            return None  # executors live in worker processes
-        return list(backend.engines)
-    return [engine]
-
-
-def delta_capable(engine) -> bool:
-    """True if :func:`attach_delta_sink` can maintain deltas for ``engine``."""
-    engines = local_engines(engine)
-    if engines is None:
-        return False
-    return all(
-        getattr(e.executor, "emits_deltas", False) for e in engines
-    )
-
-
-def attach_delta_sink(engine, sink) -> None:
-    """Route every executor's row deltas into ``sink``.
-
-    Supports the plain :class:`~repro.engine.engine.Engine`, the
-    :class:`~repro.wal.engine.JournaledEngine`, and the sequential-backend
-    :class:`~repro.shard.engine.ShardedEngine` (shards hold disjoint rows,
-    so one shared sink sees a consistent merged stream).  The process-pool
-    backend keeps its executors in worker processes, out of the sink's
-    reach, and the MV policies store version annotations rather than
-    UP[X] expressions — both are rejected loudly.
-    """
-    engines = local_engines(engine)
-    if engines is None:
-        raise EngineError(
-            "delta maintenance is not supported on the process-pool shard "
-            "backend (executors live in worker processes); use parallel=False"
-        )
-    for e in engines:
-        if not getattr(e.executor, "emits_deltas", False):
-            raise EngineError(
-                f"policy {e.policy!r} does not emit row deltas "
-                "(MV version annotations have no UP[X] delta form)"
-            )
-    for e in engines:
-        e.deltas = sink
-        e.executor.delta_sink = sink
-
-
-def flush_pending(engine) -> None:
-    """Force deferred executor work (batch normalization) to materialize.
-
-    Called immediately before :meth:`DeltaBuffer.drain`: the
-    ``normal_form_batch`` policy rewrites annotations at flush time and
-    emits the corresponding ``annotation`` deltas, so draining without
-    flushing would stamp those rewrites into a *later* batch than the
-    version they belong to.
-    """
-    engines = local_engines(engine)
-    if engines is None:
-        return
-    for e in engines:
-        flush = getattr(e.executor, "flush", None)
-        if flush is not None:
-            flush()

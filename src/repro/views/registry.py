@@ -3,10 +3,10 @@
 A :class:`StandingView` is a registered ``(relation, pattern)`` pair with
 a materialized answer set — ``{row: (expr, live)}`` — kept current by
 applying version-stamped :class:`~repro.views.deltas.DeltaBatch` streams
-instead of re-reading the relation.  The pattern is compiled through the
-same :func:`~repro.store.planner.compile_plan` path the store's
-``matching`` uses, so seeding a view from a live store is index-assisted
-and O(matched rows), not O(relation).
+instead of re-reading the relation.  The owning service seeds it through
+:meth:`~repro.engine.engine.Engine.match_rows` — the store's pattern
+planner, so seeding is index-assisted and O(matched rows), not
+O(relation).
 
 The :class:`ViewRegistry` owns the set of standing views for one service
 and fans each drained batch out to the views it touches, reporting per
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..errors import EngineError
 from ..queries.pattern import Pattern
-from ..store.planner import compile_plan
 from .deltas import DeltaBatch, RowDelta, apply_delta
 
 __all__ = ["StandingView", "ViewRegistry"]
@@ -35,45 +33,14 @@ class StandingView:
     this — there is one drain stream per service).
     """
 
-    __slots__ = ("view_id", "relation", "pattern", "plan", "rows", "version")
+    __slots__ = ("view_id", "relation", "pattern", "rows", "version")
 
     def __init__(self, view_id: int, relation: str, pattern: Pattern):
         self.view_id = view_id
         self.relation = relation
         self.pattern = pattern
-        self.plan = compile_plan(pattern)
         self.rows: dict[tuple, tuple] = {}
         self.version = -1
-
-    # -- seeding ----------------------------------------------------------
-
-    def seed_from_store(self, relation_store, expr_of, version: int) -> None:
-        """Seed from a live relation store via the pattern planner.
-
-        ``expr_of`` maps a stored non-``None`` annotation to its ``Expr``
-        (the owning executor's ``_expr_of``), so seeded expressions are
-        the same interned objects later deltas carry; annotation-free
-        slots (the vanilla policy) seed as ``None``, matching the capture
-        and delta forms.
-        """
-        rows = relation_store.rows
-        self.rows = {
-            row: (
-                None if (ann := rows.annotation(rid)) is None else expr_of(ann),
-                rows.is_live(rid),
-            )
-            for rid, row in relation_store.matching(self.pattern)
-        }
-        self.version = version
-
-    def seed_from_state(self, relation_state, version: int) -> None:
-        """Seed from a captured ``{row: (expr, live)}`` mapping (filtered)."""
-        self.rows = {
-            row: payload
-            for row, payload in relation_state.items()
-            if self.pattern.matches(row)
-        }
-        self.version = version
 
     # -- maintenance ------------------------------------------------------
 
@@ -121,12 +88,6 @@ class ViewRegistry:
 
     def unregister(self, view_id: int) -> bool:
         return self._views.pop(view_id, None) is not None
-
-    def get(self, view_id: int) -> StandingView:
-        try:
-            return self._views[view_id]
-        except KeyError:
-            raise EngineError(f"unknown view id {view_id}") from None
 
     def views(self) -> Iterable[StandingView]:
         return self._views.values()

@@ -90,10 +90,9 @@ class CheckpointManager:
         never mid-transaction): the snapshot observes provenance, which
         flushes the ``normal_form_batch`` policy.
         """
-        executor = engine.executor
         tuple_vars = [
             [relation, list(row), name]
-            for relation, names in getattr(executor, "_tuple_vars", {}).items()
+            for relation, names in engine.tuple_vars().items()
             for row, name in names.items()
         ]
         snapshot = AnnotatedSnapshot.from_engine(

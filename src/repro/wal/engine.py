@@ -34,9 +34,9 @@ from ..db.database import Database
 from ..engine.engine import Engine
 from ..errors import EngineError, ReproError, StorageError
 from ..queries.updates import Transaction, UpdateQuery
-from ..workloads.logs import log_from_events
+from ..workloads.logs import log_from_events, query_from_dict
 from .checkpoint import DEFAULT_EVERY_RECORDS, CheckpointManager
-from .journal import Journal, records_to_events
+from .journal import BATCH_END, QUERY, TXN_END, Journal, records_to_events
 
 __all__ = ["JournaledEngine", "RESUMABLE_POLICIES"]
 
@@ -68,8 +68,12 @@ class JournaledEngine(Engine):
         self.checkpoints = CheckpointManager(
             directory, every_records=checkpoint_every, every_rows=checkpoint_rows
         )
-        #: RecoveryReport when this engine came out of ``recover()``.
-        self.recovery = None
+        #: Follower mode: updates arrive only as shipped journal frames
+        #: (:meth:`apply_shipped`) until :meth:`promote`.
+        self.following = False
+        #: Recovery only: the final journaled query had raised before
+        #: mutating state and the crash beat its abort record to disk.
+        self.replay_skipped_final = False
         if _resume is None:
             if self.checkpoints.has_checkpoint():
                 raise StorageError(
@@ -95,10 +99,9 @@ class JournaledEngine(Engine):
                 start_seq=_resume.next_seq_base,
                 preexisting_records=len(_resume.tail_records),
             )
-            if self._replay_skipped_final:
-                # The final journaled query raised before mutating state
-                # and the crash beat its abort record; append it now so
-                # future recoveries skip the record without re-applying.
+            if self.replay_skipped_final:
+                # Append the missing abort now so future recoveries skip
+                # the record without re-applying.
                 self.journal.append_abort()
         # Sweep roots through the *currently attached* executor: the store
         # registers itself too, but this registration survives executor
@@ -108,9 +111,7 @@ class JournaledEngine(Engine):
 
     def expr_roots(self):
         """Live-expression roots: the attached executor's raw store slots."""
-        store = getattr(self.executor, "store", None)
-        if store is not None:
-            yield from store.expr_roots()
+        yield from self.executor.store.expr_roots()
 
     # -- replay (recovery only) ---------------------------------------------
 
@@ -125,9 +126,6 @@ class JournaledEngine(Engine):
         item goes through the ordinary :meth:`Engine.apply` machinery.
         """
         self.journal = None
-        self._replay_skipped_final = False
-        queries_before = self.stats.queries
-        transactions_before = self.stats.transactions
         items = log_from_events(records_to_events(tail_records)).items
         for position, item in enumerate(items):
             try:
@@ -138,15 +136,13 @@ class JournaledEngine(Engine):
                 # final query always means the crash beat its abort
                 # record to disk — skip it and durably compensate.
                 if position == len(items) - 1 and isinstance(item, UpdateQuery):
-                    self._replay_skipped_final = True
+                    self.replay_skipped_final = True
                     continue
                 if isinstance(exc, ReproError):
                     raise StorageError(
                         f"journal replay failed mid-tail on {item!r}: {exc}"
                     ) from exc
                 raise
-        self._replayed_queries = self.stats.queries - queries_before
-        self._replayed_transactions = self.stats.transactions - transactions_before
 
     # -- checkpointing --------------------------------------------------------
 
@@ -164,36 +160,50 @@ class JournaledEngine(Engine):
             return True
         return False
 
-    def checkpoint(self) -> bool:
-        """Write a checkpoint now (no-op when the journal is empty)."""
-        return self.maybe_checkpoint(force=True)
+    def checkpoint(self) -> int:
+        """Write a checkpoint now; returns how many were written (0 when
+        the journal holds nothing new)."""
+        if self.following:
+            # A forced checkpoint could observe provenance mid-transaction
+            # and flush the normal_form_batch policy at a point the
+            # primary never did; followers checkpoint at shipped flush
+            # boundaries only (see apply_shipped).
+            raise EngineError(
+                "followers checkpoint from the shipped stream; force "
+                "checkpoints on the primary"
+            )
+        return int(self.maybe_checkpoint(force=True))
 
     def close(self, checkpoint: bool = True) -> None:
         """Checkpoint (by default) and close the journal file.
 
         ``close(checkpoint=False)`` leaves the journal tail in place —
-        recovery then replays it, exactly as after a crash.
+        recovery then replays it, exactly as after a crash.  A follower
+        never forces the checkpoint (the stream may be mid-transaction);
+        its tail replays on the next bootstrap.
         """
-        if checkpoint:
+        if self.journal.closed:
+            return
+        if checkpoint and not self.following:
             self.maybe_checkpoint(force=True)
         self.journal.close()
 
-    def __enter__(self) -> "JournaledEngine":
-        return self
-
-    def __exit__(self, exc_type, *_exc) -> None:
-        # An exception mid-work is a crash, not a clean shutdown: keep the
-        # journal tail so recovery replays it.
-        self.close(checkpoint=exc_type is None)
-
     # -- applying (checkpoints at quiescent points) ---------------------------
 
+    def _check_writer(self) -> None:
+        if self.following:
+            raise EngineError(
+                "this engine is a read-only follower; promote() it first"
+            )
+
     def apply(self, item) -> "JournaledEngine":
+        self._check_writer()
         super().apply(item)
         self.maybe_checkpoint()
         return self
 
     def apply_batch(self, item) -> "JournaledEngine":
+        self._check_writer()
         if isinstance(item, (UpdateQuery, Transaction)):
             super().apply_batch(item)
             self.maybe_checkpoint()
@@ -203,3 +213,43 @@ class JournaledEngine(Engine):
         else:
             raise EngineError(f"cannot apply {type(item).__name__}")
         return self
+
+    # -- follower mode ----------------------------------------------------------
+
+    def follow(self) -> None:
+        """Become a follower: the journal is fed by :meth:`apply_shipped`."""
+        self.following = True
+
+    def promote(self) -> None:
+        """Become a writer again, continuing the shipped sequence."""
+        self.following = False
+
+    def apply_shipped(self, record: dict, line: bytes) -> bool:
+        """Fold one shipped journal frame in; ``False`` if its query failed.
+
+        The line is appended verbatim first, so durability is settled
+        before the state change (redo-log discipline, as on the primary);
+        the record then replays through the vocabulary :meth:`_replay`
+        uses, so the state at sequence *s* is bit-identical to the
+        primary's.  A query that fails validation here must be confirmed
+        by the primary's ``abort`` record — the caller's concern.
+        Checkpoints fire only after ``txn_end`` / ``batch_end``: those are
+        the primary's own flush points, so the observation a checkpoint
+        makes cannot flush ``normal_form_batch`` where the primary did not.
+        """
+        if not self.following:
+            raise EngineError("apply_shipped needs follower mode; follow() first")
+        self.journal.append_raw(line, record["seq"])
+        kind = record["kind"]
+        if kind == QUERY:
+            try:
+                self._apply_query(query_from_dict(record["query"]), journaled=False)
+            except ReproError:
+                return False
+        elif kind == TXN_END:
+            self.executor.on_transaction_end(str(record["name"]))
+            self.stats.transactions += 1
+            self.maybe_checkpoint()
+        elif kind == BATCH_END:
+            self.maybe_checkpoint()
+        return True

@@ -120,6 +120,7 @@ def recover(
     torn_dropped = truncate_torn_tail(manager.journal_path, scan)
     tail = [record for record in scan.records if record["seq"] > checkpoint_seq]
 
+    queries_before, transactions_before = stats.queries, stats.transactions
     engine = JournaledEngine(
         None,
         directory,
@@ -140,10 +141,10 @@ def recover(
         policy=policy,
         checkpoint_seq=checkpoint_seq,
         tail_records=len(tail),
-        replayed_queries=engine._replayed_queries,
-        replayed_transactions=engine._replayed_transactions,
+        replayed_queries=stats.queries - queries_before,
+        replayed_transactions=stats.transactions - transactions_before,
         torn_bytes_dropped=torn_dropped,
-        skipped_final_record=engine._replay_skipped_final,
+        skipped_final_record=engine.replay_skipped_final,
         support_rows=engine.support_count(),
         live_rows=engine.live_count(),
     )

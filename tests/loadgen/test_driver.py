@@ -15,6 +15,7 @@ import pytest
 
 from repro.db.database import Database
 from repro.engine.engine import Engine
+from repro.engine.oracle import assert_bit_identical
 from repro.errors import ServerError
 from repro.loadgen import (
     LoadgenProfile,
@@ -27,7 +28,6 @@ from repro.loadgen import (
 from repro.server.client import ServerClient
 from repro.server.server import serve_in_thread
 from repro.server.service import ServerConfig
-from repro.shard.codec import capture_engine
 
 PROFILE = LoadgenProfile(
     name="e2e",
@@ -63,25 +63,12 @@ def _replay_direct(profile) -> dict:
         for op in worker_ops(profile, worker):
             if op.kind == "apply":
                 direct.apply(op.item)
-    return capture_engine(direct)
-
-
-def _assert_bit_identical(served: dict, expected: dict) -> None:
-    assert served.keys() == expected.keys()
-    for relation in expected:
-        assert served[relation].keys() == expected[relation].keys(), relation
-        for row, (annotation, live) in expected[relation].items():
-            served_annotation, served_live = served[relation][row]
-            assert served_live == live, (relation, row)
-            # Interned identity, not mere equivalence: the served state
-            # re-interns into the same process-wide expression table the
-            # direct replay used.
-            assert served_annotation is annotation, (relation, row)
+    return direct.capture()
 
 
 def test_mixed_run_leaves_state_bit_identical_to_direct_replay():
     result, final = _run_and_capture(PROFILE)
-    _assert_bit_identical(final, _replay_direct(PROFILE))
+    assert_bit_identical(final, _replay_direct(PROFILE))
     assert result.errors_total == 0
     assert result.ops_total == PROFILE.workers * PROFILE.ops_per_worker
 
@@ -93,7 +80,7 @@ def test_pipelining_and_pacing_do_not_change_the_final_state():
     _, final = _run_and_capture(shaped)
     # Same ground truth as the default-shaped profile: transport knobs
     # shape delivery, never content.
-    _assert_bit_identical(final, _replay_direct(PROFILE))
+    assert_bit_identical(final, _replay_direct(PROFILE))
 
 
 def test_result_accounts_for_every_operation():
@@ -128,7 +115,7 @@ def test_apply_only_profile_matches_replay_too():
         mix=MixSpec(apply=1, state=0, provenance=0, annotation_of=0),
     )
     result, final = _run_and_capture(profile)
-    _assert_bit_identical(final, _replay_direct(profile))
+    assert_bit_identical(final, _replay_direct(profile))
     assert result.hists.keys() == {"apply"}
 
 

@@ -5,8 +5,8 @@ A follower fed a primary's journal lines through the
 boundary, exactly the state a fresh engine reaches by applying the
 original transaction prefix directly — same rows, same liveness, and
 the very same interned annotation ``Expr`` objects — across the
-``none``, ``normal_form`` and ``normal_form_batch`` policies.  For the
-checkpoint-resumable policy the same must hold against ``recover()``
+journal-resumable policies (the only ones a follower can run).  The same
+must hold against ``recover()``
 on a copy of the primary's directory whose journal is truncated at a
 random sequence: shipping and crash recovery are the *same* replay.
 """
@@ -20,73 +20,34 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, strategies as st
 
-from repro.core.expr import Expr
-from repro.core.normal_form import NormalForm
 from repro.engine.engine import Engine
+from repro.engine.oracle import assert_bit_identical
 from repro.replication.apply import ShipmentApplier
 from repro.wal.checkpoint import JOURNAL_FILE
 from repro.wal.engine import JournaledEngine
-from repro.wal.journal import TXN_END, Journal, tail_journal
+from repro.wal.journal import TXN_END, tail_journal
 from repro.wal.recovery import recover
 
 from .strategies import databases, logs
 
-POLICIES = ("none", "normal_form", "normal_form_batch")
+POLICIES = ("naive", "normal_form_batch")  # the journal-resumable policies
 
 SEED = 20260808  # fixed: the sweep is reproducible run to run
 
 
-def observed_state(engine):
-    engine.support_count()  # force any pending batch flush, then snapshot
-    return engine.executor.store.state()
-
-
-def assert_annotations_identical(ann, ref_ann, context):
-    """Interned-object identity, one level into NormalForm wrappers.
-
-    ``normal_form`` stores per-row :class:`NormalForm` state machines —
-    fresh wrapper objects per engine — whose embedded expressions are
-    the interned ``Expr`` objects the bit-identity keel is about.
-    """
-    if isinstance(ann, Expr):
-        assert ann is ref_ann, context
-    elif isinstance(ann, NormalForm):
-        assert isinstance(ref_ann, NormalForm), context
-        assert ann.shape is ref_ann.shape, context
-        assert len(ann.expr_refs()) == len(ref_ann.expr_refs()), context
-        for expr, ref_expr in zip(ann.expr_refs(), ref_ann.expr_refs()):
-            assert expr is ref_expr, context
-    else:
-        assert ann == ref_ann, context
-
-
-def assert_bit_identical(engine, reference):
-    a, b = observed_state(engine), observed_state(reference)
-    assert a.keys() == b.keys()
-    for name in a:
-        assert a[name].keys() == b[name].keys()
-        for row, (ann, live) in a[name].items():
-            ref_ann, ref_live = b[name][row]
-            assert live == ref_live, (name, row)
-            assert_annotations_identical(ann, ref_ann, (name, row))
-
-
 def journaled_primary(db, log, policy, directory):
-    """Apply ``log`` on a journaled primary of ``policy``; return it.
-
-    ``normal_form_batch`` is checkpoint-resumable and goes through
-    :class:`JournaledEngine` (checkpoints disabled so the journal keeps
-    every record from sequence 1); the other policies journal through a
-    bare :class:`Journal` hook.
-    """
-    directory = Path(directory)
-    if policy == "normal_form_batch":
-        engine = JournaledEngine(db, directory, policy=policy, checkpoint_every=10**9)
-    else:
-        directory.mkdir(parents=True, exist_ok=True)
-        engine = Engine(db, policy=policy, journal=Journal(directory / JOURNAL_FILE))
+    """Apply ``log`` on a journaled primary (checkpoints disabled, so the
+    journal keeps every record from sequence 1); return it."""
+    engine = JournaledEngine(db, directory, policy=policy, checkpoint_every=10**9)
     engine.apply(log)
     return engine
+
+
+def follower_of(db, policy, directory):
+    """A fresh follower-mode engine at sequence 0, plus its applier."""
+    follower = JournaledEngine(db, directory, policy=policy)
+    follower.follow()
+    return follower, ShipmentApplier(follower)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -94,7 +55,7 @@ def journaled_primary(db, log, policy, directory):
 @given(databases, logs())
 def test_shipped_replay_matches_direct_application(policy, db, log):
     with tempfile.TemporaryDirectory() as tmp:
-        primary = journaled_primary(db, log, policy, tmp)
+        primary = journaled_primary(db, log, policy, Path(tmp) / "primary")
         try:
             tail = tail_journal(primary.journal.path, 0)
         finally:
@@ -102,19 +63,21 @@ def test_shipped_replay_matches_direct_application(policy, db, log):
         shipments = list(zip(tail.records, tail.lines))
         assert shipments, "every generated log journals at least one record"
 
-        follower = Engine(db, policy=policy)  # journal hook detached
-        applier = ShipmentApplier(follower)
-        prefix = 0
-        for record, line in shipments:
-            applier.apply_lines([(record, line)])
-            if record["kind"] == TXN_END:
-                prefix += 1
-                reference = Engine(db, policy=policy)
-                reference.apply(log[:prefix])
-                assert_bit_identical(follower, reference)
-        assert prefix == len(log)
-        assert applier.applied_seq == tail.last_seq
-        assert_bit_identical(follower, primary)
+        follower, applier = follower_of(db, policy, Path(tmp) / "follower")
+        try:
+            prefix = 0
+            for record, line in shipments:
+                applier.apply_lines([(record, line)])
+                if record["kind"] == TXN_END:
+                    prefix += 1
+                    reference = Engine(db, policy=policy)
+                    reference.apply(log[:prefix])
+                    assert_bit_identical(follower, reference)
+            assert prefix == len(log)
+            assert applier.applied_seq == follower.last_seq == tail.last_seq
+            assert_bit_identical(follower, primary)
+        finally:
+            follower.close()
 
 
 @seed(SEED)
@@ -138,11 +101,11 @@ def test_truncated_recover_matches_follower_at_seq(db, log, data):
         shutil.copytree(primary_dir, copy_dir)
         (copy_dir / JOURNAL_FILE).write_bytes(b"".join(tail.lines[:s]))
         reference = recover(copy_dir)
+        follower, applier = follower_of(db, policy, Path(tmp) / "follower")
         try:
-            follower = Engine(db, policy=policy)
-            applier = ShipmentApplier(follower)
             applier.apply_lines(shipments[:s])
             assert applier.applied_seq == s
             assert_bit_identical(follower, reference)
         finally:
             reference.journal.close()
+            follower.close()

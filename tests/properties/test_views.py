@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.engine.engine import Engine
+from repro.engine.oracle import assert_bit_identical
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Modify
 from repro.shard import ShardedEngine
-from repro.shard.codec import capture_engine
-from repro.views import DeltaBuffer, ViewRegistry, attach_delta_sink, flush_pending
+from repro.views import DeltaBuffer, ViewRegistry
 
 from .strategies import ARITY, VALUES, databases, deletes, inserts, logs, patterns
 
@@ -55,48 +55,40 @@ SHARDED_FLAVORS = {
 }
 
 
-def _recompute(engine) -> dict:
-    """A fresh full capture of R — the ground truth a view must equal."""
-    if isinstance(engine, ShardedEngine):
-        return engine.state()["R"]
-    return capture_engine(engine)["R"]
-
-
-def _assert_bit_identical(view, recompute, version):
+def _assert_tracks(view, engine, version):
+    """The view equals the pattern-filtered fresh capture — and so does the
+    planner-backed seed a subscriber registering now would get."""
     expected = {
-        row: payload for row, payload in recompute.items() if view.pattern.matches(row)
+        row: payload
+        for row, payload in engine.capture()["R"].items()
+        if view.pattern.matches(row)
     }
     assert view.version == version
-    assert view.rows.keys() == expected.keys(), view.describe()
-    for row, (expr, live) in expected.items():
-        got_expr, got_live = view.rows[row]
-        # Expressions are interned: the delta stream must deliver the very
-        # object a capture shows, not a structurally equal reconstruction.
-        assert got_expr is expr, (view.describe(), row)
-        assert got_live == live, (view.describe(), row)
+    # Expressions are interned: the delta stream must deliver the very
+    # object a capture shows, not a structurally equal reconstruction.
+    assert_bit_identical({"R": view.rows}, {"R": expected})
+    assert_bit_identical({"R": engine.match_rows("R", view.pattern)}, {"R": expected})
 
 
 def _check_views_track_recompute(engine, log, pattern):
     buffer = DeltaBuffer()
-    attach_delta_sink(engine, buffer)
+    engine.attach_deltas(buffer)
     registry = ViewRegistry()
     views = [
         registry.register("R", Pattern.any(ARITY)),  # the whole relation
         registry.register("R", pattern),  # a random selective slice
     ]
-    initial = _recompute(engine)
-    for view in views:
-        view.seed_from_state(initial, 0)
+    for view in views:  # seeded the way the service does
+        view.rows, view.version = engine.match_rows("R", view.pattern), 0
 
     for version, transaction in enumerate(log, start=1):
         engine.apply(transaction)
         # The quiescent point: deferred normalization materializes into
         # this batch, then the drain stamps it with the version.
-        flush_pending(engine)
+        engine.flush_pending()
         registry.apply(buffer.drain(version))
-        recompute = _recompute(engine)
         for view in views:
-            _assert_bit_identical(view, recompute, version)
+            _assert_tracks(view, engine, version)
 
 
 @pytest.mark.parametrize("flavor", sorted(PLAIN_FLAVORS))

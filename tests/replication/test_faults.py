@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.db.database import Database
+from repro.engine.oracle import assert_bit_identical
 from repro.errors import ReplicationError, ServerError
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Delete, Insert, Modify, Transaction
@@ -48,22 +49,6 @@ def shipping_log():
         Transaction("r", [Delete("R", Pattern(2, eq={1: 7})), Insert("R", (101, 7))]),
         Transaction("s", [Modify("R", Pattern(2, eq={1: 7}), {0: 0})]),
     ]
-
-
-def observed_state(engine):
-    engine.support_count()
-    return engine.executor.store.state()
-
-
-def assert_bit_identical(follower_engine, primary_engine):
-    a, b = observed_state(follower_engine), observed_state(primary_engine)
-    assert a.keys() == b.keys()
-    for name in a:
-        assert a[name].keys() == b[name].keys()
-        for row, (ann, live) in a[name].items():
-            ref_ann, ref_live = b[name][row]
-            assert live == ref_live, (name, row)
-            assert ann is ref_ann, (name, row)  # identical interned object
 
 
 def wait_until(predicate, timeout: float = 20.0, message: str = "condition"):
@@ -234,7 +219,7 @@ def test_cut_at_every_frame_boundary_and_midframe(tmp_path, primary):
         assert proxy.sessions >= (2 if budget < len(reply) + sum(map(len, tail.lines)) else 1)
         # No frame applied twice, none skipped: the follower journal holds
         # every shipped sequence exactly once, byte-identical lines.
-        follower_tail = tail_journal(core.applier.journal.path, 0)
+        follower_tail = tail_journal(core.engine.journal.path, 0)
         assert [r["seq"] for r in follower_tail.records] == list(
             range(1, last_seq + 1)
         ), f"budget {budget}"
@@ -329,7 +314,39 @@ def test_repeated_kills_under_live_appends(tmp_path, primary):
         runner.join(timeout=10)
         proxy.close()
     assert proxy.sessions > 1  # the kills kept coming; progress survived them
-    follower_tail = tail_journal(core.applier.journal.path, 0)
+    follower_tail = tail_journal(core.engine.journal.path, 0)
     assert [r["seq"] for r in follower_tail.records] == list(range(1, last_seq + 1))
     assert_bit_identical(core.engine, engine)
     core.close()
+
+
+def test_listener_stop_wakes_accept_and_joins_every_thread(tmp_path):
+    """``stop()`` with a follower mid-stream returns promptly.
+
+    Closing the listening socket from another thread does not wake a
+    blocked ``accept()`` on Linux; before the ``shutdown()`` the stop sat
+    out its 5 s join timeout and left ``repl-accept`` alive behind it.
+    """
+    engine = JournaledEngine(fresh_database(), tmp_path / "primary", policy=POLICY)
+    engine.apply(shipping_log())
+    listener = ReplicationListener(
+        ReplicationHub(engine.journal), engine.checkpoints.checkpoint_path
+    )
+    core = FollowerCore(tmp_path / "follower", listener.address, coalesce_delay=0.0)
+    core.bootstrap()
+    runner = threading.Thread(target=core.run, daemon=True)
+    runner.start()
+    try:
+        wait_until(
+            lambda: core.applied_seq >= engine.last_seq, message="follower to stream"
+        )
+        began = time.monotonic()
+        listener.stop()
+        assert time.monotonic() - began < 1.0
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("repl-")]
+    finally:
+        core.stop()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        core.close()
+        engine.close()

@@ -19,6 +19,7 @@ import pytest
 
 from repro.db.database import Database
 from repro.engine.engine import Engine
+from repro.engine.oracle import assert_bit_identical
 from repro.queries.updates import Insert, Transaction
 from repro.replication.client import ReplicatedClient
 from repro.replication.node import choose_promotion_candidate
@@ -46,16 +47,6 @@ def wait_until(predicate, timeout: float = 30.0, message: str = "condition"):
 
 def version_of(client: ServerClient) -> int:
     return int(client.stats()["server"]["version"])
-
-
-def assert_states_bit_identical(state, reference):
-    assert state.keys() == reference.keys()
-    for name in state:
-        assert state[name].keys() == reference[name].keys(), name
-        for row, (ann, live) in state[name].items():
-            ref_ann, ref_live = reference[name][row]
-            assert live == ref_live, (name, row)
-            assert ann is ref_ann, (name, row)  # identical interned Expr
 
 
 def test_promote_most_advanced_follower_loses_no_acked_txn(tmp_path):
@@ -121,10 +112,7 @@ def test_promote_most_advanced_follower_loses_no_acked_txn(tmp_path):
             Database.from_rows(RELATION, ["id", "value"], []), policy=POLICY
         )
         reference.apply([txn(i) for i in range(ACKED_TXNS + POST_TXNS)])
-        reference.support_count()  # flush, then snapshot
-        assert_states_bit_identical(
-            candidate.state(), reference.executor.store.state()
-        )
+        assert_bit_identical(candidate.state(), reference)
     finally:
         if client is not None:
             client.close()

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.engine.oracle import assert_bit_identical
 from repro.loadgen import profile_from_name, run_loadgen, schema_specs, write_result
 from repro.queries.updates import Insert, Transaction
 from repro.replication.process import spawn_follower, spawn_primary
@@ -31,16 +32,6 @@ def wait_until(predicate, timeout: float = 60.0, message: str = "condition"):
         if time.monotonic() > deadline:
             pytest.fail(f"timed out waiting for {message}")
         time.sleep(0.01)
-
-
-def assert_states_bit_identical(state, reference):
-    assert state.keys() == reference.keys()
-    for name in state:
-        assert state[name].keys() == reference[name].keys(), name
-        for row, (ann, live) in state[name].items():
-            ref_ann, ref_live = reference[name][row]
-            assert live == ref_live, (name, row)
-            assert ann is ref_ann, (name, row)  # identical interned Expr
 
 
 def test_topology_survives_multiprocess_load_and_quiesces_identical(tmp_path):
@@ -100,8 +91,8 @@ def test_topology_survives_multiprocess_load_and_quiesces_identical(tmp_path):
         for client in clients[1:]:
             states.append(client.state())
             assert client.last_version == seq
-        assert_states_bit_identical(states[1], states[0])
-        assert_states_bit_identical(states[2], states[0])
+        assert_bit_identical(states[1], states[0])
+        assert_bit_identical(states[2], states[0])
     finally:
         for client in clients:
             client.close()

@@ -15,11 +15,11 @@ import pytest
 
 from repro.db.database import Database
 from repro.engine.engine import Engine
+from repro.engine.oracle import assert_bit_identical
 from repro.errors import ServerError
 from repro.queries.updates import Delete, Insert, Modify, Transaction
 from repro.semantics.boolean import BooleanStructure
 from repro.server import ServerClient, ServerConfig, serve_in_thread
-from repro.shard.codec import capture_engine
 from repro.wal.recovery import recover
 from repro.workloads.synthetic import SyntheticConfig, synthetic_database, synthetic_log
 
@@ -30,17 +30,6 @@ def small_workload(seed: int = 11):
         queries_per_transaction=4, seed=seed,
     )
     return synthetic_database(config), list(synthetic_log(config).items)
-
-
-def assert_states_identical(observed, expected, tracks_provenance=True):
-    assert observed.keys() == expected.keys()
-    for name in expected:
-        assert observed[name].keys() == expected[name].keys(), name
-        for row, (expr, live) in expected[name].items():
-            got_expr, got_live = observed[name][row]
-            assert got_live == live, (name, row)
-            if tracks_provenance:
-                assert got_expr is expr, (name, row)
 
 
 def serve(database, **overrides):
@@ -73,8 +62,8 @@ def test_round_trip_bit_identical_across_backends(backend, tmp_path):
                 if position % 10 == 0:
                     client.provenance("synthetic")
 
-            expected = capture_engine(direct)
-            assert_states_identical(client.state(), expected)
+            expected = direct.capture()
+            assert_bit_identical(client.state(), expected)
 
             # provenance() agrees with state() row for row.
             observed = {
@@ -106,11 +95,7 @@ def test_round_trip_bit_identical_across_policies(policy):
         with ServerClient(handle.host, handle.port) as client:
             client.apply(items)
             direct.apply(items)
-            assert_states_identical(
-                client.state(),
-                capture_engine(direct),
-                tracks_provenance=direct.executor.tracks_provenance,
-            )
+            assert_bit_identical(client.state(), direct)
 
 
 def test_specialize_matches_in_process_engine(products_db):
@@ -156,7 +141,7 @@ def test_graceful_shutdown_checkpoints_journaled_state(tmp_path):
 
     recovered = recover(directory)
     assert recovered.recovery.tail_records == 0  # shutdown checkpointed
-    assert_states_identical(capture_engine(recovered), capture_engine(direct))
+    assert_bit_identical(recovered, direct)
     recovered.journal.close()
 
 

@@ -17,7 +17,7 @@ from repro.queries.updates import Insert
 from repro.shard import ShardedEngine
 from repro.workloads.synthetic import synthetic_workload
 
-from .util import assert_bit_identical, with_broadcasts
+from .util import assert_matches_unsharded, with_broadcasts
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def test_parallel_mix_is_bit_identical(workload, policy):
         # Captures decode through the smart constructors, so annotation
         # objects are identical to the unsharded engine's *in this
         # process* even though the workers built them elsewhere.
-        assert_bit_identical(unsharded, sharded, workload.schema)
+        assert_matches_unsharded(unsharded, sharded)
         assert sharded.stats.rows_matched == unsharded.stats.rows_matched
         assert sharded.provenance_dag_size() == unsharded.provenance_dag_size()
 
@@ -69,7 +69,7 @@ def test_parallel_apply_batch_and_interleaved_observation(workload):
         assert sharded.support_count() == unsharded.support_count()
         unsharded.apply_batch(workload.log.items[half:])
         sharded.apply_batch(workload.log.items[half:])
-        assert_bit_identical(unsharded, sharded, workload.schema)
+        assert_matches_unsharded(unsharded, sharded)
 
 
 def test_worker_errors_surface_as_engine_errors(workload):

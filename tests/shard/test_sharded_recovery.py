@@ -15,7 +15,7 @@ from repro.shard import (
 from repro.wal.journal import scan_journal
 from repro.workloads.synthetic import synthetic_workload
 
-from .util import assert_bit_identical
+from .util import assert_matches_unsharded
 
 N_SHARDS = 3
 
@@ -55,7 +55,7 @@ def test_recovery_is_bit_identical_to_unsharded_full_replay(tmp_path, workload, 
     assert recovered.recovery.tail_records > 0
     assert recovered.recovery.n_shards == N_SHARDS
     unsharded = Engine(workload.database, policy=policy).apply(workload.log)
-    assert_bit_identical(unsharded, recovered, workload.schema)
+    assert_matches_unsharded(unsharded, recovered)
     # What-if valuations survive: initial-tuple names come back from the
     # shard checkpoints.
     assert recovered.tuple_var_names() == unsharded.tuple_var_names()
@@ -80,7 +80,7 @@ def test_recovered_deployment_keeps_applying(tmp_path, workload, policy):
     recovered = recover_sharded(tmp_path)
     recovered.apply(workload.log.items[half:])
     unsharded = Engine(workload.database, policy=policy).apply(workload.log)
-    assert_bit_identical(unsharded, recovered, workload.schema)
+    assert_matches_unsharded(unsharded, recovered)
     # Summed planner counters continue across the crash: the recovered
     # lifetime totals equal an uncrashed run's.
     assert recovered.stats.index_hits == unsharded.stats.index_hits
@@ -104,7 +104,7 @@ def test_parallel_recovery_matches_sequential(tmp_path, workload):
     with recover_sharded(tmp_path, parallel=True) as recovered:
         unsharded = Engine(workload.database, policy="normal_form_batch")
         unsharded.apply(workload.log)
-        assert_bit_identical(unsharded, recovered, workload.schema)
+        assert_matches_unsharded(unsharded, recovered)
         assert recovered.recovery.tail_records > 0
 
 
@@ -126,7 +126,7 @@ def test_coordinated_checkpoint_truncates_every_tail(tmp_path, workload):
     recovered = recover_sharded(tmp_path)
     assert recovered.recovery.tail_records == 0
     unsharded = Engine(workload.database, policy="naive").apply(workload.log)
-    assert_bit_identical(unsharded, recovered, workload.schema)
+    assert_matches_unsharded(unsharded, recovered)
     recovered.close()
 
 

@@ -1,28 +1,23 @@
-"""Shared assertions for the sharded bit-identity suite."""
+"""Shared assertion and workload helpers for the sharded bit-identity suite."""
 
 from __future__ import annotations
 
+from repro.engine.oracle import assert_bit_identical
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Delete, Modify, Transaction
 from repro.workloads.logs import UpdateLog
 
 
-def assert_bit_identical(unsharded, sharded, schema) -> None:
-    """Merged sharded state == unsharded state, annotation objects included."""
-    tracks = unsharded.executor.tracks_provenance
-    for relation in schema.names:
-        a = {row: (expr, live) for row, expr, live in unsharded.provenance(relation)}
-        b = {row: (expr, live) for row, expr, live in sharded.provenance(relation)}
-        assert a.keys() == b.keys(), relation
-        for row, (expr, live) in a.items():
-            other_expr, other_live = b[row]
-            assert live == other_live, (relation, row)
-            if tracks:
-                # Identity, not equality: interning makes the same
-                # expression the same object, even across worker processes
-                # (captures re-intern at the coordinator).
-                assert expr is other_expr, (relation, row, expr, other_expr)
+def assert_matches_unsharded(unsharded, sharded) -> None:
+    """The shared oracle over ``capture()``, plus the merged read API.
+
+    ``ShardedEngine.result()`` / ``live_rows()`` merge per-shard databases on
+    their own path (not through ``capture()``), so they are checked too.
+    """
+    assert_bit_identical(unsharded, sharded)
     assert sharded.result().same_contents(unsharded.result())
+    for relation in unsharded.schema.names:
+        assert sharded.live_rows(relation) == unsharded.live_rows(relation), relation
 
 
 def with_broadcasts(log: UpdateLog, relation, arity: int) -> UpdateLog:

@@ -1,25 +1,19 @@
-"""Unit tests of the delta vocabulary: coalescing, codec, engine plumbing."""
+"""Unit tests of the delta vocabulary: coalescing and codec.
+
+The engine-side hook (``attach_deltas`` / ``flush_pending``) is covered per
+backend in ``tests/engine/test_contract.py``.
+"""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.expr import plus_i, var
-from repro.db.database import Database
-from repro.engine.engine import Engine
-from repro.errors import EngineError
-from repro.queries.updates import Insert
 from repro.views import (
     DeltaBatch,
     DeltaBuffer,
     RowDelta,
     apply_delta_batch,
-    attach_delta_sink,
     decode_delta_batch,
-    delta_capable,
     encode_delta_batch,
-    flush_pending,
-    local_engines,
 )
 
 
@@ -111,30 +105,3 @@ def test_codec_round_trip_reinterns_identical_objects():
     assert decoded == batch
     # The arena re-interns: both rows share the very same expression object.
     assert decoded.deltas[0].expr is decoded.deltas[1].expr is shared
-
-
-# -- engine plumbing ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("policy", ["naive", "normal_form", "normal_form_batch", "none"])
-def test_attached_engine_routes_deltas_through_the_sink(policy):
-    database = Database.from_rows("R", ["a", "b"], [(0, 0)])
-    engine = Engine(database, policy=policy)
-    assert delta_capable(engine)
-    assert local_engines(engine) == [engine]
-    buffer = DeltaBuffer()
-    attach_delta_sink(engine, buffer)
-    engine.apply(Insert("R", (1, 1)).annotated("p"))
-    flush_pending(engine)
-    batch = buffer.drain(1)
-    kinds = {delta.row: delta.kind for delta in batch}
-    assert kinds[(1, 1)] == "insert"
-
-
-@pytest.mark.parametrize("policy", ["mv_tree", "mv_string"])
-def test_mv_policies_are_rejected_loudly(policy):
-    database = Database.from_rows("R", ["a", "b"], [(0, 0)])
-    engine = Engine(database, policy=policy)
-    assert not delta_capable(engine)
-    with pytest.raises(EngineError, match="does not emit row deltas"):
-        attach_delta_sink(engine, DeltaBuffer())

@@ -13,6 +13,7 @@ import pytest
 
 from repro.db.database import Database
 from repro.engine.engine import Engine
+from repro.engine.oracle import assert_bit_identical
 from repro.errors import EngineError, QueryError, StorageError
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Delete, Insert, Modify, Transaction
@@ -35,23 +36,6 @@ def sample_log():
         Transaction("r", [Delete("R", Pattern(2, eq={1: 7})), Insert("R", (101, 7))]),
         Transaction("s", [Modify("R", Pattern(2, eq={1: 7}), {0: 0})]),
     ]
-
-
-def observed_state(engine):
-    """Store state after a full provenance observation (forces flushes)."""
-    engine.support_count()
-    return engine.executor.store.state()
-
-
-def assert_bit_identical(recovered, reference):
-    a, b = observed_state(recovered), observed_state(reference)
-    assert a.keys() == b.keys()
-    for name in a:
-        assert a[name].keys() == b[name].keys()
-        for row, (ann, live) in a[name].items():
-            ref_ann, ref_live = b[name][row]
-            assert live == ref_live, (name, row)
-            assert ann is ref_ann, (name, row)  # identical interned object
 
 
 def full_replay(policy, items):
@@ -107,11 +91,11 @@ class TestRecoveryInvariant:
         engine.apply(sample_log())
         engine.journal.close()
         recovered = recover(tmp_path)
-        state = observed_state(recovered)["R"]
+        state = recovered.capture()["R"]
         tombstones = {row for row, (_ann, live) in state.items() if not live}
         assert tombstones  # deletions and modification sources stay stored
         assert recovered.support_count() > recovered.live_count()
-        reference_state = observed_state(full_replay(policy, sample_log()))["R"]
+        reference_state = full_replay(policy, sample_log()).capture()["R"]
         assert tombstones == {
             row for row, (_ann, live) in reference_state.items() if not live
         }
@@ -258,18 +242,18 @@ class TestLifecycle:
         engine.apply(sample_log()[:1])
         with pytest.raises(QueryError, match="no annotation"):
             engine.apply(Delete("R", Pattern(2, eq={1: 1})))  # un-annotated
-        state = observed_state(engine)
+        state = engine.capture()
         engine.journal.close()
         recovered = recover(tmp_path)
         assert not recovered.recovery.skipped_final_record  # abort was durable
-        assert observed_state(recovered) == state
+        assert recovered.capture() == state
 
     def test_crash_before_abort_record_skips_final_query(self, tmp_path):
         engine = JournaledEngine(fresh_database(), tmp_path, checkpoint_every=10_000)
         engine.apply(sample_log()[:1])
         with pytest.raises(QueryError):
             engine.apply(Delete("R", Pattern(2, eq={1: 1})))
-        state = observed_state(engine)
+        state = engine.capture()
         engine.journal.close()
         # Strip the trailing abort record: the crash beat it to disk.
         journal_path = tmp_path / "journal.log"
@@ -278,12 +262,12 @@ class TestLifecycle:
         journal_path.write_bytes(b"".join(lines[:-1]))
         recovered = recover(tmp_path)
         assert recovered.recovery.skipped_final_record
-        assert observed_state(recovered) == state
+        assert recovered.capture() == state
         recovered.journal.close()
         # The recovery appended the missing abort: future recoveries are clean.
         again = recover(tmp_path)
         assert not again.recovery.skipped_final_record
-        assert observed_state(again) == state
+        assert again.capture() == state
 
     def test_failed_apply_batch_query_stays_recoverable(self, tmp_path):
         """Journaled runs write ahead per query, so a raising query inside
@@ -294,14 +278,14 @@ class TestLifecycle:
         bad = Delete("R", Pattern(2, eq={1: 0}))  # un-annotated: raises
         with pytest.raises(QueryError, match="no annotation"):
             engine.apply_batch([good, bad, Insert("R", (101, 101), "p")])
-        state = observed_state(engine)
+        state = engine.capture()
         engine.journal.close()
         recovered = recover(tmp_path)
-        assert observed_state(recovered) == state
+        assert recovered.capture() == state
         assert recovered.live_rows("R") >= {(100, 100)}  # prefix applied
         assert (101, 101) not in recovered.live_rows("R")  # suffix never ran
         recovered.journal.close()
-        assert observed_state(recover(tmp_path)) == state  # and stays clean
+        assert recover(tmp_path).capture() == state  # and stays clean
 
     def test_torn_final_record_is_reported_and_truncated(self, tmp_path):
         engine = JournaledEngine(fresh_database(), tmp_path, checkpoint_every=10_000)
