@@ -1,46 +1,7 @@
-"""Benchmark harness: measurements, figure drivers, reporting, scales."""
+"""Benchmark harness: measurements, figure drivers, reporting, scales.
 
-from .figures import (
-    ALL_FIGURES,
-    ablation_annotations,
-    figure_10,
-    figure_7,
-    figure_8,
-    figure_9a,
-    figure_9b,
-    figure_blowup,
-    run_figures,
-)
-from .measure import (
-    Checkpoint,
-    SeriesRun,
-    UsageMeasurement,
-    checkpoints_for,
-    series_run,
-    usage_measurement,
-)
-from .reporting import FigureResult, format_value
-from .scales import SCALES, BenchScale, active_scale
-
-__all__ = [
-    "ALL_FIGURES",
-    "BenchScale",
-    "Checkpoint",
-    "FigureResult",
-    "SCALES",
-    "SeriesRun",
-    "UsageMeasurement",
-    "ablation_annotations",
-    "active_scale",
-    "checkpoints_for",
-    "figure_10",
-    "figure_7",
-    "figure_8",
-    "figure_9a",
-    "figure_9b",
-    "figure_blowup",
-    "format_value",
-    "run_figures",
-    "series_run",
-    "usage_measurement",
-]
+Import the submodule you need (``repro.bench.figures`` for the registry,
+``repro.bench.reporting`` for result tables and the ``BENCH_*.json``
+envelope): the package itself imports nothing, so writing an envelope or
+spawning ``repro.bench.memchild`` loads no measurement code.
+"""

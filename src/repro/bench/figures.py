@@ -15,6 +15,10 @@ ablation_annotations  (ours) effect of annotation granularity on the
             normal form's leverage — the design choice DESIGN.md calls out
 ==========  ===============================================================
 
+The same registry holds the measured axes of :mod:`repro.bench.axes`
+(``cache index shard server view recovery replication memory``): one
+name space, one ``repro figure NAME --scale S --save DIR``.
+
 Execution model: logs run as a single annotated transaction (the paper's
 Section 3 semantics; see ``UpdateLog.as_single_transaction``), except in
 the ablation, which contrasts exactly that choice.
@@ -33,6 +37,7 @@ from ..tpcc.driver import generate_tpcc
 from ..tpcc.loader import TPCCScale
 from ..workloads.logs import UpdateLog
 from ..workloads.synthetic import SyntheticConfig, synthetic_database, synthetic_log
+from .axes import AXES
 from .measure import UsageMeasurement, checkpoints_for, series_run, usage_measurement
 from .reporting import FigureResult
 from .scales import BenchScale, active_scale
@@ -482,6 +487,7 @@ ALL_FIGURES = {
     "fig10": figure_10,
     "blowup": figure_blowup,
     "ablation": ablation_annotations,
+    **AXES,
 }
 
 

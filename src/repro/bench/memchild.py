@@ -1,12 +1,12 @@
-"""Subprocess child of :func:`repro.bench.memory_comparison`.
+"""Subprocess child of the ``memory`` axis (:func:`repro.bench.axes.memory_axis`).
 
-Peak RSS (``resource.getrusage``) is monotone over a process lifetime, so
+Peak RSS (:func:`repro.memory.peak_rss_bytes`) is monotone over a process lifetime, so
 comparing the memory behaviour of two interning/encoding configurations is
 only honest when each configuration runs in a *fresh* process.  The parent
-(:func:`repro.bench.measure.memory_comparison`) launches this module as
-``python -m repro.bench.memchild`` once per mode with a JSON config on
-stdin; the child runs a deterministic churn workload and reports a JSON
-measurement on stdout.
+launches this module as ``python -m repro.bench.memchild`` once per mode
+with a JSON config on stdin (``mode``, ``seed`` and the workload sizes of
+the axis's table); the child runs a deterministic churn workload and
+reports a JSON measurement on stdout.
 
 The workload models the long-lived server process the interning sweep was
 built for: one *resident* engine whose annotated state stays live (the
@@ -28,7 +28,7 @@ import json
 import sys
 import time
 
-__all__ = ["run_child", "child_config", "MODES"]
+__all__ = ["run_child", "MODES"]
 
 #: The four measured quadrants: (reclaimable interning?, arena at rest?).
 MODES: dict[str, tuple[bool, bool]] = {
@@ -37,35 +37,6 @@ MODES: dict[str, tuple[bool, bool]] = {
     "arena_grow": (False, True),
     "arena_gc": (True, True),
 }
-
-
-def child_config(
-    mode: str,
-    epochs: int = 16,
-    transactions: int = 24,
-    queries_per_transaction: int = 6,
-    rows: int = 300,
-    groups: int = 15,
-    seed: int = 23,
-) -> dict:
-    """The JSON config the parent ships to one child invocation.
-
-    ``queries_per_transaction`` matters: the ``normal_form_batch`` policy
-    flushes at transaction ends, so multi-query transactions also exercise
-    the second garbage source — naive within-transaction chains that the
-    flush rewrites away.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown memchild mode {mode!r} (known: {', '.join(MODES)})")
-    return {
-        "mode": mode,
-        "epochs": int(epochs),
-        "transactions": int(transactions),
-        "queries_per_transaction": int(queries_per_transaction),
-        "rows": int(rows),
-        "groups": int(groups),
-        "seed": int(seed),
-    }
 
 
 def _churn_transactions(config: dict, epoch: int) -> "list":
@@ -137,6 +108,8 @@ def run_child(config: dict) -> dict:
     )
     from ..memory import current_rss_bytes, peak_rss_bytes
 
+    if config["mode"] not in MODES:
+        raise ValueError(f"unknown memchild mode {config['mode']!r} (known: {', '.join(MODES)})")
     gc_on, arena_on = MODES[config["mode"]]
     if gc_on:
         # Before any workload expression exists, so the nursery covers them.

@@ -3,7 +3,9 @@
 A :class:`FigureResult` is a named table of measurement rows plus the
 paper's expected shape; ``format_table`` renders it the way the paper's
 series read ("rows/series the paper reports"), and ``to_json``/``to_csv``
-persist raw numbers for EXPERIMENTS.md bookkeeping.
+persist raw numbers for EXPERIMENTS.md bookkeeping.  ``write_bench_json``
+is the shared ``BENCH_*.json`` trajectory envelope (the loadgen's result
+files); it lives here so that writing one imports no measurement code.
 """
 
 from __future__ import annotations
@@ -11,15 +13,87 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-__all__ = ["FigureResult", "format_value"]
+from ..core.expr import intern_table_size
+from ..memory import current_rss_bytes, peak_rss_bytes
+
+__all__ = [
+    "BENCH_SCHEMA_VERSION",
+    "FigureResult",
+    "format_value",
+    "git_revision",
+    "write_bench_json",
+]
+
+#: Version of the envelope every ``BENCH_*.json`` file carries.  The body
+#: under ``"payload"`` is owned by the producing subsystem (which may
+#: version it separately, e.g. ``repro.loadgen.report.SCHEMA_VERSION``).
+BENCH_SCHEMA_VERSION = 1
+
+
+def git_revision() -> str:
+    """The working tree's commit hash, or ``"unknown"`` outside a checkout.
+
+    Stamped into every trajectory file so a ``BENCH_*.json`` regression
+    can be attributed to the exact code that produced it.
+    """
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    revision = completed.stdout.strip()
+    return revision if completed.returncode == 0 and revision else "unknown"
+
+
+def write_bench_json(
+    kind: str, name: str, payload: Mapping[str, object], directory: str | Path = "."
+) -> Path:
+    """Write one ``BENCH_<kind>_<name>.json`` trajectory file.
+
+    The envelope (schema version, kind/name, git revision, wall-clock
+    timestamp) is uniform across producers so downstream tooling can
+    index every trajectory the same way; ``payload`` is the producer's
+    body.  Returns the written path.
+    """
+    safe = "".join(c if c.isalnum() or c in "-_." else "-" for c in name) or "run"
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"BENCH_{kind}_{safe}.json"
+    document = {
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "kind": kind,
+        "name": name,
+        "git_rev": git_revision(),
+        "written_at": time.time(),
+        # Memory footprint of the producing process at write time — an
+        # additive envelope field (schema version unchanged) so every
+        # trajectory carries the memory axis alongside its latency axis.
+        "memory": {
+            "rss_bytes": current_rss_bytes(),
+            "peak_rss_bytes": peak_rss_bytes(),
+            "intern_table_size": intern_table_size(),
+        },
+        "payload": dict(payload),
+    }
+    path.write_text(json.dumps(document, indent=2, default=str) + "\n")
+    return path
 
 
 def format_value(value: object) -> str:
     """Human formatting: seconds to 4 digits, big ints with separators."""
+    if value is None:  # a column this row does not measure
+        return "-"
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):

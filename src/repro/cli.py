@@ -5,6 +5,7 @@ Subcommands::
     repro demo                        the paper's Figure 1/4 walkthrough
     repro figure fig7 [fig8 ...]      regenerate evaluation figures
     repro figure all --save out/      all figures, JSON+CSV persisted
+    repro figure cache index ...      a layer's measured axis (counted gate)
     repro tpcc --queries 400          generate + run a TPC-C log, report overheads
     repro tpcc --journal state/ --policy naive   same, durably (WAL + checkpoints)
     repro tpcc --shards 4             same, hash-partitioned with routed updates
@@ -50,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument(
         "names",
         nargs="+",
-        help="figure ids (fig7 fig8 fig9a fig9b fig10 blowup ablation) or 'all'",
+        help="figure ids (fig7 fig8 fig9a fig9b fig10 blowup ablation), measured axes "
+        "(cache index shard server view recovery replication memory) or 'all'",
     )
     figure.add_argument("--scale", default=None, help="tiny | small | medium | paper")
     figure.add_argument("--save", default=None, metavar="DIR", help="write JSON/CSV here")
@@ -521,15 +523,22 @@ def cmd_figure(args: argparse.Namespace) -> int:
     from .bench.figures import ALL_FIGURES, run_figures
 
     names = list(ALL_FIGURES) if "all" in args.names else args.names
+    failed = []
     try:
         for result in run_figures(names):
             result.print()
             if args.save:
                 path = result.save(Path(args.save))
                 print(f"saved {path}")
+            # Measured axes carry a counted-work gate per row; paper figures don't.
+            if not all(row.get("gate", True) for row in result.rows):
+                failed.append(result.figure)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if failed:
+        print(f"error: counted gate failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

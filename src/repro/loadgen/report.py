@@ -5,14 +5,14 @@ latency histograms, error counts, and the achieved aggregate rate.  It
 renders three ways: human stats lines / a summary table, a CSV export
 (one row per op kind), and a schema-versioned ``BENCH_loadgen_<profile>``
 trajectory written through the shared bench writer
-(:func:`repro.bench.measure.write_bench_json`), so every run leaves a
+(:func:`repro.bench.reporting.write_bench_json`), so every run leaves a
 machine-readable latency record future PRs are measured against.
 
 An :class:`SLO` is a latency floor in the operable sense: ``apply:p99<0.05``
 reads "the 99th-percentile apply latency must stay under 50ms".
 :func:`check_slos` returns human-readable violations; the CLI turns any
 into a non-zero exit, and ``tests/bench`` asserts a tiny profile's floors
-in tier-1 — latency gated the same way speedup ratios already are.
+in tier-1 — latency is gated, not only reported.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class LoadgenResult:
 
 def write_result(result: LoadgenResult, directory: str | Path = ".") -> Path:
     """Persist one run as ``BENCH_loadgen_<profile>.json`` under ``directory``."""
-    from ..bench.measure import write_bench_json
+    from ..bench.reporting import write_bench_json
 
     return write_bench_json(
         "loadgen", result.profile.name, result.as_payload(), directory

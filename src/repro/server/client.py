@@ -208,7 +208,7 @@ class ServerClient:
 
         Pipelining keeps the server's admission queue deep, which is what
         lets the writer fuse a whole backlog into one ``apply_batch`` call
-        — the measured win of ``server_comparison``.  Returns total
+        — the measured win of ``repro figure server``.  Returns total
         queries applied; raises on the first failed response (later
         pipelined responses are drained so the connection stays usable).
 

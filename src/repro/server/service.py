@@ -13,7 +13,7 @@ dedicated one-thread executor:
   ``apply_batch`` is semantically identical to sequential application by
   construction, so fusion changes throughput, never results.  With
   ``admission_max=1`` the service degrades to per-call dispatch — the
-  baseline ``server_comparison`` measures against.
+  baseline ``repro figure server`` measures against.
 * provenance reads never touch the engine.  They are answered from
   **versioned immutable snapshots**: row-keyed
   :meth:`~repro.store.annotation_store.AnnotationStore.state`-style

@@ -79,7 +79,7 @@ class DeltaBatch:
     same counter that stamps published snapshots, so a consumer that has
     applied every batch up to version ``v`` holds exactly the rows a
     snapshot captured at ``v`` would show (asserted bit-identically in
-    ``tests/views`` and ``bench.view_comparison``).
+    ``tests/views`` and ``repro figure view``).
     """
 
     version: int

@@ -13,7 +13,7 @@ from a durable directory alone:
 5. reopen the journal for appending, sequence numbers continuing.
 
 The recovery invariant — asserted across policies in ``tests/wal`` and
-measured by ``bench.measure.recovery_comparison`` — is that the result is
+measured by ``repro figure recovery`` — is that the result is
 *bit-identical* (rows, annotations by object identity, liveness) to
 replaying the entire update history from scratch, while touching only the
 log tail.

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -141,8 +142,14 @@ class TestQueries:
         assert bdd.node_count(bdd.TRUE) == 1
 
     def test_deep_chain_no_recursion_error(self):
+        # Conjoining a variable *below* a chain rebuilds the whole chain
+        # (every node's descendants changed), so this loop is inherently
+        # quadratic in the depth: size it from what it must exceed — the
+        # recursion limit — rather than a fixed 3000.
+        depth = sys.getrecursionlimit() * 3 // 2
         bdd = Bdd()
         acc = bdd.TRUE
-        for i in range(3000):
+        for i in range(depth):
             acc = bdd.apply_and(acc, bdd.var(f"v{i}"))
+        assert bdd.node_count(acc) == depth + 2  # deeper than the limit
         assert bdd.sat_count(acc) == 1

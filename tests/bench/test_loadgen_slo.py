@@ -1,7 +1,7 @@
 """Tier-1 latency SLO floors on the tiny loadgen profile.
 
-The same contract the speedup-floor tests enforce for throughput, here
-for latency: a tiny in-process loadgen run must complete error-free and
+The latency counterpart of the measured axes' counted gates
+(``test_axes.py``): a tiny in-process loadgen run must complete error-free and
 keep generous per-op quantile ceilings, and its ``BENCH_loadgen_*``
 trajectory must be well-formed.  The ceilings (2s p99 / 5s max against
 locally observed single-digit milliseconds) are scheduler-hiccup-proof;
@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.bench.measure import BENCH_SCHEMA_VERSION
+from repro.bench.reporting import BENCH_SCHEMA_VERSION
 from repro.db.database import Database
 from repro.loadgen import (
     check_slos,

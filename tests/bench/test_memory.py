@@ -1,51 +1,19 @@
-"""Tier-1 floors on the memory axis (ISSUE 7 acceptance, test scale).
+"""A soaked loadgen run on the memory axis (ISSUE 7 acceptance, test scale).
 
-Two gates:
-
-* :func:`repro.bench.measure.memory_comparison` at a tiny epoch scale
-  must show the GC'd + arena-encoded configuration holding at least 2x
-  fewer interned nodes than the grow-only object baseline, with
-  bit-identical final state and a non-zero sweep count.  Node counts are
-  deterministic (the child workload is seeded and sweeps run at epoch
-  boundaries), so the floor needs no retry; peak RSS is only asserted to
-  be measured, not ratioed — at tiny scale the interpreter baseline
-  dominates both sides (the >= 2x RSS ratio is the default-scale
-  acceptance run, not a tier-1 assertion).
-* a soaked loadgen run against a sweeping server must complete
-  error-free while the driver's ``stats`` polls observe memory samples,
-  and the ``BENCH_loadgen_*`` trajectory must carry them.  Runs in a
-  subprocess: ``sweep_every`` enables the process-global intern GC, and
-  sweeps on the server's writer thread would reclaim *other* tests'
-  unrooted expressions in a shared pytest process.
+The node-count floor of the ``memory`` axis is held by
+``tests/bench/test_axes.py``; this file keeps the served half: a soaked
+loadgen run against a sweeping server must complete error-free while the
+driver's ``stats`` polls observe memory samples, and the
+``BENCH_loadgen_*`` trajectory must carry them.  Runs in a subprocess:
+``sweep_every`` enables the process-global intern GC, and sweeps on the
+server's writer thread would reclaim *other* tests' unrooted expressions
+in a shared pytest process.
 """
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
-
-from repro.bench.measure import memory_comparison
-
-#: Tiny but garbage-producing: disposable per-epoch engines beside a
-#: rooted resident one (see ``repro.bench.memchild``).
-TINY = dict(epochs=5, transactions=8, queries_per_transaction=4, rows=120, groups=10)
-
-
-def test_memory_comparison_tiny_reclaims_with_identical_state():
-    comparison = memory_comparison(modes=["objects_grow", "arena_gc"], **TINY)
-    assert comparison.consistent, {
-        mode: result["fingerprint"] for mode, result in comparison.results.items()
-    }
-    # Acceptance floor: reclaimable interning + arena at-rest holds the
-    # final node population >= 2x below the grow-only object baseline.
-    assert comparison.node_ratio >= 2.0, comparison.as_dict()
-    assert comparison.swept_total > 0
-    for mode, result in comparison.results.items():
-        assert result["peak_rss_bytes"] > 0, mode
-        assert result["intern_table_size"] > 0, mode
-    # The summary must be JSON-serializable (it feeds write_bench_json).
-    json.dumps(comparison.as_dict())
 
 
 def test_soaked_loadgen_samples_memory_and_sweeps(tmp_path):

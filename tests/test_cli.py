@@ -108,6 +108,33 @@ def test_figure_save(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "prop5.1.json").exists()
 
 
+def test_figure_axis_runs_its_counted_gate(tmp_path, capsys):
+    assert main(["figure", "cache", "--scale", "tiny", "--save", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "== cache:" in out and "work ratio" in out
+    assert (tmp_path / "cache.json").exists() and (tmp_path / "cache.csv").exists()
+
+
+def test_figure_unknown_scale(capsys):
+    assert main(["figure", "cache", "--scale", "huge"]) == 2
+    assert "huge" in capsys.readouterr().err
+
+
+def test_figure_failing_gate_exits_one(capsys, monkeypatch):
+    from repro.bench.figures import ALL_FIGURES
+    from repro.bench.reporting import FigureResult
+
+    def failing(scale=None):
+        row = {"claimed work": 9, "baseline work": 10, "gate": False}
+        return [FigureResult("cache", "a failing axis", list(row), rows=[row])]
+
+    monkeypatch.setitem(ALL_FIGURES, "cache", failing)
+    assert main(["figure", "cache", "blowup", "--scale", "tiny"]) == 1
+    captured = capsys.readouterr()
+    assert "prop5.1" in captured.out  # later figures still run and print
+    assert "counted gate failed: cache" in captured.err
+
+
 def test_sql_command(tmp_path, capsys):
     script = tmp_path / "script.sql"
     script.write_text(
