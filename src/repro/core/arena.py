@@ -7,15 +7,13 @@ is referenced by the integer id of its root; shared sub-expressions share
 ids, so the arena is itself hash-consed and a node costs a few machine
 words rather than an ``Expr`` object plus an intern-table entry.
 
-Two call sites use it:
-
-* **At rest**: annotation stores in arena mode keep root ids in their row
-  slots and decode back to :class:`~repro.core.expr.Expr` lazily at the
-  API boundary (:meth:`ExprArena.get_expr` rebuilds through the smart
-  constructors, so decoded nodes are ordinary interned expressions).
-* **On the wire**: ``storage.exprjson`` / ``shard.codec`` ship one arena
-  for a whole capture instead of a node list per row, deduplicating
-  shared structure across rows.
+The arena is purely an **at-rest** store: annotation stores in arena
+mode keep root ids in their row slots and decode back to
+:class:`~repro.core.expr.Expr` lazily at the API boundary
+(:meth:`ExprArena.get_expr` rebuilds through the smart constructors, so
+decoded nodes are ordinary interned expressions).  It never leaves the
+process; what does is the one expression encoding,
+:mod:`repro.storage.exprjson`'s shared node table.
 
 The arena keeps only *weak* caches of the ``Expr`` <-> node-id mapping:
 repeated encodes/decodes of live structure are O(1) (the at-rest store
@@ -54,10 +52,10 @@ __all__ = ["ExprArena", "ArenaError"]
 
 
 class ArenaError(ValueError):
-    """Malformed arena payload or unknown node id."""
+    """Unknown arena node id."""
 
 
-# Kind codes (stable: they are the wire encoding).
+# Kind codes of the in-memory tables.
 K_ZERO = 0
 K_VAR = 1
 K_PLUS_I = 2
@@ -250,66 +248,3 @@ class ExprArena:
             offset, count = self._a[nid], self._b[nid]
             return self._args[offset : offset + count]
         return (self._a[nid], self._b[nid])
-
-    # -- wire form -------------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        """JSON-serializable wire form (flat arrays + name table)."""
-        return {
-            "kind": self._kind.tolist(),
-            "a": self._a.tolist(),
-            "b": self._b.tolist(),
-            "args": self._args.tolist(),
-            "names": list(self._names),
-        }
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "ExprArena":
-        """Rebuild an arena from :meth:`to_payload` output (validated)."""
-        if not isinstance(data, dict):
-            raise ArenaError(f"arena payload must be an object, got {type(data).__name__}")
-        try:
-            kinds = list(data["kind"])
-            a = list(data["a"])
-            b = list(data["b"])
-            args = list(data["args"])
-            names = list(data["names"])
-        except (KeyError, TypeError) as exc:
-            raise ArenaError(f"malformed arena payload: {exc}") from exc
-        if not kinds or kinds[0] != K_ZERO:
-            raise ArenaError("arena payload must start with the ZERO node")
-        if not (len(kinds) == len(a) == len(b)):
-            raise ArenaError("arena payload arrays disagree on length")
-        arena = cls.__new__(cls)
-        arena._kind = array("b", kinds)
-        arena._a = array("q", a)
-        arena._b = array("q", b)
-        arena._args = array("q", args)
-        arena._names = [str(n) for n in names]
-        arena._name_ids = {n: i for i, n in enumerate(arena._names)}
-        arena._index = {}
-        arena._sum_index = {}
-        arena._to_nid = weakref.WeakKeyDictionary()
-        arena._from_nid = weakref.WeakValueDictionary()
-        n = len(kinds)
-        for nid in range(1, n):
-            code = arena._kind[nid]
-            if code == K_VAR:
-                if not 0 <= arena._a[nid] < len(arena._names):
-                    raise ArenaError(f"arena node {nid}: bad name index {arena._a[nid]}")
-                arena._index[((arena._a[nid] << _SHIFT) << 3) | K_VAR] = nid
-            elif code == K_SUM:
-                offset, count = arena._a[nid], arena._b[nid]
-                if offset < 0 or count < 0 or offset + count > len(args):
-                    raise ArenaError(f"arena node {nid}: bad sum span {offset}+{count}")
-                ids = tuple(arena._args[offset : offset + count])
-                if any(not 0 <= c < nid for c in ids):
-                    raise ArenaError(f"arena node {nid}: forward or bad sum child")
-                arena._sum_index[ids] = nid
-            elif code in _BINARY_BUILDER:
-                if not (0 <= arena._a[nid] < nid and 0 <= arena._b[nid] < nid):
-                    raise ArenaError(f"arena node {nid}: forward or bad child id")
-                arena._index[((arena._a[nid] << _SHIFT) | arena._b[nid]) << 3 | code] = nid
-            else:
-                raise ArenaError(f"arena node {nid}: unknown kind code {code}")
-        return arena

@@ -5,9 +5,11 @@ TCP connection and presents the familiar engine surface: ``apply`` /
 ``apply_batch``, ``provenance`` / ``annotation_of`` / ``state``,
 ``specialize``, ``stats``, ``checkpoint``, ``shutdown``.  Updates are
 encoded as the journal's replay vocabulary; provenance expressions come
-back as ``exprjson`` DAG payloads and are **re-interned locally** — in
-the server's own process the decoded objects are therefore the very
-nodes the engine holds, which is what the bit-identity tests assert.
+back as one shared :mod:`repro.storage.exprjson` node table per reply
+(:func:`~repro.shard.codec.decode_capture`) and are **re-interned
+locally** — in the server's own process the decoded objects are
+therefore the very nodes the engine holds, which is what the
+bit-identity tests assert.
 
 Requests on a connection are answered in order, so
 :meth:`apply_pipelined` may ship many apply frames before reading any
@@ -269,10 +271,10 @@ class ServerClient:
         The provenance-free policy reports ``ZERO`` expressions, exactly
         like :meth:`repro.shard.engine.ShardedEngine.provenance`.
         """
-        response = self._call("provenance", relation=relation)
+        rows = decode_capture(self._call("provenance", relation=relation)["rows"])
         return [
-            (tuple(row), ZERO if encoded is None else expr_from_dict(encoded), bool(live))
-            for row, encoded, live in response["rows"]
+            (row, ZERO if expr is None else expr, live)
+            for row, (expr, live) in rows[relation].items()
         ]
 
     def state(self) -> dict[str, dict[tuple, tuple[Expr | None, bool]]]:

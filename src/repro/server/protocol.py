@@ -25,9 +25,13 @@ system already trusts for durability and cross-process shipping:
   — the write-ahead journal's record vocabulary, regrouped server-side
   with :func:`repro.workloads.logs.log_from_events` so transaction hooks
   fire at exactly their event positions;
-* provenance expressions travel as :func:`repro.storage.exprjson`
-  DAG dicts and are re-interned by the receiving process, exactly like
-  the shard worker captures (see :mod:`repro.shard.codec`).
+* provenance expressions travel in the one expression encoding,
+  :mod:`repro.storage.exprjson`'s shared node table: every reply that
+  carries many expressions (``provenance``, ``state``, the ``subscribe``
+  seed, pushed deltas) ships one table plus an integer root per row, and
+  ``annotation_of`` ships the one-root case.  The receiving process
+  re-interns every node, exactly like the shard worker captures (see
+  :mod:`repro.shard.codec`).
 
 Constants are therefore restricted to JSON scalars — the same restriction
 every durable log already satisfies.
@@ -37,9 +41,10 @@ Operations (see :mod:`repro.server.server` for the handlers):
 ====================  =======================================================
 ``ping``              server identity: version, policy, backend, schema
 ``apply``             ``{"events": [...], "batch": bool}`` → applied count
-``provenance``        one relation's ``[[row, expr|null, live], ...]``
+``provenance``        one relation, as an :func:`encode_capture` payload
 ``state``             every relation, as an :func:`encode_capture` payload
-``annotation_of``     one row's expression (``null`` = never stored)
+``annotation_of``     one row's expression as a one-root node table
+                      (``null`` = never stored)
 ``specialize``        Boolean-structure valuation of every stored annotation
 ``tuple_vars``        initial-tuple annotation names (what-if valuations)
 ``stats``             engine counters + server admission counters
@@ -76,9 +81,11 @@ __all__ = [
 DEFAULT_PORT = 7464
 
 #: Wire-protocol revision: 1 = request/response only, 2 = adds the
-#: ``subscribe``/``unsubscribe`` ops and server-pushed delta frames.
-#: Reported by ``ping`` so clients can feature-detect without probing.
-PROTOCOL_REVISION = 2
+#: ``subscribe``/``unsubscribe`` ops and server-pushed delta frames,
+#: 3 = ``provenance`` answers with the shared node table of
+#: :func:`encode_capture` instead of one node table per row.  Reported by
+#: ``ping`` so clients can feature-detect without probing.
+PROTOCOL_REVISION = 3
 
 #: The frame-type tag on server-pushed frames.  Absent on responses —
 #: which is also what every pre-revision-2 frame looks like.

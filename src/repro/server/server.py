@@ -8,8 +8,9 @@ service's writer fuses and whose reads share published snapshots.
 
 The event loop never touches the engine and never interns expressions:
 request decoding stops at queries/patterns (plain data), and responses
-encode expressions *from* immutable snapshots (``expr_to_dict`` creates
-no nodes).  Every engine mutation stays on the service's writer thread.
+encode expressions *from* immutable snapshots into the one shared node
+table of :mod:`repro.storage.exprjson` (encoding creates no nodes).
+Every engine mutation stays on the service's writer thread.
 
 Live-view pushes ride the same per-connection ordered queue the
 responses do: the writer's delta flush hands matched deltas to
@@ -87,7 +88,8 @@ class ProvenanceServer:
         self.host = host if host is not None else service.config.host
         self.port = port if port is not None else service.config.port
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        #: Open connections and the task serving each.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._stopped = asyncio.Event()
         self._stopping = False
         self._stop_task: asyncio.Task | None = None
@@ -132,8 +134,13 @@ class ProvenanceServer:
             self._server.close()
             await self._server.wait_closed()
         await self.service.close(checkpoint=checkpoint)
+        handlers = list(self._connections.values())
         for writer in list(self._connections):
             writer.close()
+        # Each handler sees its hang-up and returns; one still pending when
+        # the loop ends would be cancelled mid-await and logged as an error.
+        if handlers:
+            await asyncio.wait(handlers)
         self._stopped.set()
 
     # -- connection handling ---------------------------------------------------
@@ -154,7 +161,7 @@ class ProvenanceServer:
         Admission order equals frame order because tasks are scheduled
         FIFO and admission is their first suspension point.
         """
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         loop = asyncio.get_running_loop()
         pending: asyncio.Queue[asyncio.Task | dict | None] = asyncio.Queue()
         conn = _Connection(pending)
@@ -181,7 +188,7 @@ class ProvenanceServer:
             try:
                 await responder
             finally:
-                self._connections.discard(writer)
+                self._connections.pop(writer, None)
                 writer.close()
                 try:
                     await writer.wait_closed()
@@ -305,20 +312,18 @@ class ProvenanceServer:
     async def _op_provenance(self, request: dict, _conn: _Connection) -> dict:
         relation = self._known_relation(request)
         snapshot = await self.service.snapshot()
-        rows = [
-            [list(row), None if expr is None else expr_to_dict(expr), live]
-            for row, (expr, live) in snapshot.state[relation].items()
-        ]
-        return {"ok": True, "version": snapshot.version, "rows": rows}
+        return {
+            "ok": True,
+            "version": snapshot.version,
+            "rows": encode_capture({relation: snapshot.state[relation]}),
+        }
 
     async def _op_state(self, _request: dict, _conn: _Connection) -> dict:
         snapshot = await self.service.snapshot()
         return {
             "ok": True,
             "version": snapshot.version,
-            # Arena wire form: one shared node table per capture (shared
-            # structure ships once); clients decode either form.
-            "relations": encode_capture(snapshot.state, arena=True),
+            "relations": encode_capture(snapshot.state),
         }
 
     async def _op_annotation_of(self, request: dict, _conn: _Connection) -> dict:
@@ -416,7 +421,7 @@ class ProvenanceServer:
             "version": version,
             "relation": relation,
             "pattern": pattern_to_dict(pattern),
-            "rows": encode_capture({relation: seed}, arena=True),
+            "rows": encode_capture({relation: seed}),
         }
 
     async def _op_unsubscribe(self, request: dict, conn: _Connection) -> dict:

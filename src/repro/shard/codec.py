@@ -8,11 +8,13 @@ already exist for durability:
   same replay vocabulary the write-ahead journal records, decoded on the
   worker with :func:`repro.workloads.logs.log_from_events` so transaction
   hooks fire at exactly their event positions;
-* **annotated state** travels as
-  :meth:`repro.store.annotation_store.AnnotationStore.state`-style
-  captures whose expressions are encoded with
-  :func:`repro.storage.exprjson.expr_to_dict` — the DAG encoding, so even
-  naive-policy expressions ship in space proportional to their DAG size.
+* **annotated state** travels as ``{relation: {row: (expression,
+  live)}}`` captures (:func:`encode_capture`): every expression of the
+  capture goes into one shared :mod:`repro.storage.exprjson` node table
+  and each row carries its integer root, so structure shared across rows
+  ships once and even naive-policy expressions ship in space
+  proportional to their DAG size.  The same payload answers the
+  service's ``state``, ``provenance`` and ``subscribe`` ops.
 
 Expressions are *never* pickled directly: hash-consed nodes unpickle into
 fresh objects, severing the interning identity the bit-identity checks
@@ -30,11 +32,11 @@ from typing import Iterable, Iterator
 
 from ..core.expr import Expr
 from ..queries.updates import Transaction, UpdateQuery
-from ..storage.exprjson import expr_from_dict, expr_to_dict, exprs_from_arena, exprs_to_arena
+from ..errors import StorageError
+from ..storage.exprjson import exprs_from_arena, exprs_to_arena
 from ..workloads.logs import query_from_dict, query_to_dict
 
 __all__ = [
-    "ARENA_KEY",
     "Capture",
     "capture_engine",
     "decode_capture",
@@ -97,68 +99,39 @@ def capture_engine(engine) -> Capture:
     return engine.capture()
 
 
-#: Marker key of the arena-form capture payload.  Relation names come from
-#: schemas and can never collide with it (dunder names are not valid
-#: relation identifiers in any shipped workload).
-ARENA_KEY = "__arena__"
+def encode_capture(capture: Capture) -> dict:
+    """Pickle/JSON-safe capture: one shared node table, integer roots per row.
 
-
-def encode_capture(capture: Capture, arena: bool = False) -> dict:
-    """Pickle-safe capture: rows stay tuples, expressions become node ids.
-
-    Two wire forms, distinguished on decode by the :data:`ARENA_KEY`
-    marker:
-
-    * the legacy per-row form — ``{relation: [[row, dag-dict|None, live],
-      ...]}`` with one :func:`expr_to_dict` node table per row;
-    * the arena form (``arena=True``) — one shared flat node table for
-      the whole capture plus integer root ids per row, so bases and
-      transaction variables shared across rows ship once.
+    ``{"exprs": {"nodes": [...]}, "relations": {name: [[row, root|None,
+    live], ...]}}`` — every expression of the capture goes through one
+    :func:`~repro.storage.exprjson.exprs_to_arena` table, so structure
+    shared across rows and relations ships once.
     """
-    if not arena:
-        return {
-            name: [
-                [row, None if expr is None else expr_to_dict(expr), live]
-                for row, (expr, live) in rows.items()
-            ]
+    table, roots = exprs_to_arena(
+        expr for rows in capture.values() for expr, _live in rows.values()
+    )
+    position = iter(roots)
+    return {
+        "exprs": table,
+        "relations": {
+            name: [[row, next(position), live] for row, (_expr, live) in rows.items()]
             for name, rows in capture.items()
-        }
-    exprs: list[Expr | None] = []
-    for rows in capture.values():
-        exprs.extend(expr for expr, _live in rows.values())
-    arena_payload, roots = exprs_to_arena(exprs)
-    relations: dict[str, list] = {}
-    position = 0
-    for name, rows in capture.items():
-        encoded = []
-        for row, (_expr, live) in rows.items():
-            encoded.append([row, roots[position], live])
-            position += 1
-        relations[name] = encoded
-    return {ARENA_KEY: arena_payload, "relations": relations}
+        },
+    }
 
 
 def decode_capture(payload: dict) -> Capture:
-    """Inverse of :func:`encode_capture` (either form); re-interns every node."""
-    if ARENA_KEY in payload:
+    """Inverse of :func:`encode_capture`; re-interns every node once."""
+    try:
         relations = payload["relations"]
-        roots = [nid for rows in relations.values() for _row, nid, _live in rows]
-        exprs = exprs_from_arena(payload[ARENA_KEY], roots)
-        capture: Capture = {}
-        position = 0
-        for name, rows in relations.items():
-            decoded: dict[tuple, tuple[Expr | None, bool]] = {}
-            for row, _nid, live in rows:
-                decoded[tuple(row)] = (exprs[position], bool(live))
-                position += 1
-            capture[name] = decoded
-        return capture
+        roots = [root for rows in relations.values() for _row, root, _live in rows]
+        table = payload["exprs"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"malformed capture payload: {exc!r}") from exc
+    exprs = iter(exprs_from_arena(table, roots))
     return {
-        name: {
-            tuple(row): (None if expr is None else expr_from_dict(expr), bool(live))
-            for row, expr, live in rows
-        }
-        for name, rows in payload.items()
+        name: {tuple(row): (next(exprs), bool(live)) for row, _root, live in rows}
+        for name, rows in relations.items()
     }
 
 

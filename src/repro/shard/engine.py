@@ -155,8 +155,12 @@ class _ProcessShards:
         self._broken = False
         for payload in payloads:
             parent, child = context.Pipe()
+            # A forked worker inherits every coordinator end opened so far,
+            # its own included; it closes them so that closing the
+            # coordinator's end is an EOF the worker actually sees.
+            inherited = [*self._connections, parent] if method == "fork" else []
             process = context.Process(
-                target=shard_worker_main, args=(child, payload), daemon=True
+                target=shard_worker_main, args=(child, payload, inherited), daemon=True
             )
             process.start()
             child.close()

@@ -90,8 +90,15 @@ def _engine_payload(engine: Engine) -> dict:
     }
 
 
-def shard_worker_main(conn, payload: dict) -> None:
-    """Process entry point: build the engine, then serve until ``close``."""
+def shard_worker_main(conn, payload: dict, inherited=()) -> None:
+    """Process entry point: build the engine, then serve until ``close``.
+
+    ``inherited`` are the coordinator's pipe ends a forked worker holds
+    copies of; they are closed first, or this worker's own copy would keep
+    its pipe open after the coordinator closes it.
+    """
+    for end in inherited:
+        end.close()
     sweep_every = int(payload.get("sweep_every") or 0)
     try:
         if sweep_every:
@@ -132,9 +139,7 @@ def shard_worker_main(conn, payload: dict) -> None:
                     (
                         "ok",
                         {
-                            # Arena wire form: shared structure crosses the
-                            # process boundary once per capture, not per row.
-                            "state": encode_capture(capture_engine(engine), arena=True),
+                            "state": encode_capture(capture_engine(engine)),
                             "stats": engine.stats.snapshot(),
                         },
                     )

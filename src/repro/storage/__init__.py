@@ -1,14 +1,7 @@
-"""Serialization and persistence: expression JSON, sqlite snapshots, CSV."""
+"""Serialization and persistence: the expression codec, sqlite snapshots, CSV."""
 
 from .csvio import dump_csv, load_csv
-from .exprjson import (
-    expr_from_dict,
-    expr_from_json,
-    expr_from_nested,
-    expr_to_dict,
-    expr_to_json,
-    expr_to_nested,
-)
+from .exprjson import expr_from_dict, expr_to_dict
 from .snapshot import (
     AnnotatedSnapshot,
     load_snapshot,
@@ -21,11 +14,7 @@ __all__ = [
     "AnnotatedSnapshot",
     "dump_csv",
     "expr_from_dict",
-    "expr_from_json",
-    "expr_from_nested",
     "expr_to_dict",
-    "expr_to_json",
-    "expr_to_nested",
     "load_csv",
     "load_snapshot",
     "restore_executor",

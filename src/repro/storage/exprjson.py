@@ -1,26 +1,32 @@
-"""JSON serialization of UP[X] expressions.
+"""The expression codec: one shared postorder node table for many roots.
 
-Two encodings:
+Every set of UP[X] expressions that leaves the process — a wire capture,
+a pushed delta batch, a shard-worker capture, a sqlite checkpoint — is
+encoded by :func:`exprs_to_arena` as one JSON-ready node table::
 
-* :func:`expr_to_json` / :func:`expr_from_json` — a *DAG* encoding: a node
-  table in topological order plus a root index.  Sharing is preserved, so
-  even the naive construction's exponential-expansion expressions
-  round-trip in space proportional to their DAG size.
-* :func:`expr_to_nested` / :func:`expr_from_nested` — a human-readable
-  nested encoding (lists), convenient for small expressions and fixtures;
-  sharing is lost.
+    {"nodes": [["var", "a"], ["var", "p"], ["+I", 0, 1], ["-", 2, 1], ...]}
 
-Both decoders rebuild through the smart constructors, so zero axioms are
-re-applied; on expressions produced by this library that is the identity.
+plus one integer root index per expression.  Records are in postorder
+(children before parents) and each distinct node appears once across
+*all* roots, so structure shared between rows — bases, transaction
+variables, a modification's source disjunction — is stored once, and
+even the naive construction's exponential-expansion expressions encode
+in space proportional to their DAG size (Proposition 5.1).
+
+:func:`expr_to_dict` / :func:`expr_from_dict` are the one-root case, with
+the root index inline: ``{"nodes": [...], "root": i}``.
+
+Decoding rebuilds bottom-up through the smart constructors, so zero
+axioms are re-applied (on expressions produced by this library that is
+the identity) and every decoded node is the receiving process's ordinary
+interned object.  Malformed input raises :class:`~repro.errors.StorageError`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..core.expr import (
-    Expr,
     MINUS,
     PLUS_I,
     PLUS_M,
@@ -29,10 +35,10 @@ from ..core.expr import (
     VAR,
     ZERO,
     ZERO_KIND,
+    Expr,
     minus,
     plus_i,
     plus_m,
-    postorder,
     ssum,
     times_m,
     var,
@@ -42,10 +48,6 @@ from ..errors import StorageError
 __all__ = [
     "expr_to_dict",
     "expr_from_dict",
-    "expr_to_json",
-    "expr_from_json",
-    "expr_to_nested",
-    "expr_from_nested",
     "exprs_to_arena",
     "exprs_from_arena",
 ]
@@ -58,142 +60,116 @@ _BUILDERS = {
 }
 
 
-def expr_to_dict(expr: Expr) -> dict[str, object]:
-    """The DAG encoding as a JSON-ready dict."""
+def exprs_to_arena(exprs: Iterable[Expr | None]) -> tuple[dict, list[int | None]]:
+    """Encode many expressions into one shared node table.
+
+    Returns ``({"nodes": [...]}, roots)`` with ``roots[i]`` the table
+    index of the ``i``-th expression; ``None`` entries pass through as
+    ``None``.  Each distinct node is visited once across all roots.
+    """
     index: dict[int, int] = {}
-    nodes: list[object] = []
-    for node in postorder(expr):
-        if node.kind == VAR:
-            encoded: object = ["var", node.name]
-        elif node.kind == ZERO_KIND:
-            encoded = ["zero"]
+    nodes: list[list] = []
+    roots: list[int | None] = []
+    for expr in exprs:
+        if expr is None:
+            roots.append(None)
+            continue
+        if id(expr) not in index:
+            # Iterative postorder sharing ``index`` as its visited set: a
+            # node popped unexpanded is either already emitted or not yet
+            # seen (it cannot be in progress — that would be a cycle).
+            stack: list[tuple[Expr, bool]] = [(expr, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if id(node) in index:
+                    continue
+                if not expanded:
+                    stack.append((node, True))
+                    for child in reversed(node.children):
+                        if id(child) not in index:
+                            stack.append((child, False))
+                    continue
+                kind = node.kind
+                if kind == VAR:
+                    encoded = ["var", node.name]
+                elif kind == ZERO_KIND:
+                    encoded = ["zero"]
+                else:
+                    encoded = [kind, *[index[id(c)] for c in node.children]]
+                index[id(node)] = len(nodes)
+                nodes.append(encoded)
+        roots.append(index[id(expr)])
+    return {"nodes": nodes}, roots
+
+
+def exprs_from_arena(payload: Mapping, roots: Sequence[int | None]) -> list[Expr | None]:
+    """Inverse of :func:`exprs_to_arena`; re-interns every node once."""
+    built = _build(payload)
+    out: list[Expr | None] = []
+    for root in roots:
+        if root is None:
+            out.append(None)
+        elif type(root) is int and 0 <= root < len(built):
+            out.append(built[root])
         else:
-            encoded = [node.kind, *(index[id(c)] for c in node.children)]
-        index[id(node)] = len(nodes)
-        nodes.append(encoded)
-    return {"nodes": nodes, "root": index[id(expr)]}
+            raise StorageError(f"root index {root!r} out of range (table has {len(built)} nodes)")
+    return out
+
+
+def expr_to_dict(expr: Expr) -> dict[str, object]:
+    """One expression as a node table with its root index inline."""
+    payload, (root,) = exprs_to_arena((expr,))
+    payload["root"] = root
+    return payload
 
 
 def expr_from_dict(data: Mapping[str, object]) -> Expr:
     """Inverse of :func:`expr_to_dict` (rebuilds through smart constructors)."""
     try:
-        nodes: Sequence[Sequence[object]] = data["nodes"]  # type: ignore[assignment]
-        root = int(data["root"])  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StorageError(f"malformed expression payload: {exc}") from exc
+        root = data["root"]
+    except (KeyError, TypeError) as exc:
+        raise StorageError(f"malformed expression payload: {exc!r}") from exc
+    (expr,) = exprs_from_arena(data, (root,))
+    return expr  # type: ignore[return-value]
+
+
+def _build(payload: Mapping) -> list[Expr]:
+    """Validate a node table and rebuild every record, in table order."""
+    try:
+        nodes = payload["nodes"]
+    except (KeyError, TypeError) as exc:
+        raise StorageError(f"malformed expression payload: {exc!r}") from exc
+    if not isinstance(nodes, list):
+        raise StorageError(f"node table must be a list, got {type(nodes).__name__}")
     built: list[Expr] = []
+    append = built.append
     for position, encoded in enumerate(nodes):
-        if not encoded:
-            raise StorageError(f"empty node record at index {position}")
-        kind = encoded[0]
-        if kind == "var":
-            built.append(var(str(encoded[1])))
-        elif kind == "zero":
-            built.append(ZERO)
-        else:
-            try:
-                children = [built[int(i)] for i in encoded[1:]]
-            except (IndexError, ValueError) as exc:
-                raise StorageError(
-                    f"node {position} references an undefined child: {encoded!r}"
-                ) from exc
+        try:
+            kind = encoded[0]
+            if kind == "var":
+                _kind, name = encoded
+                append(var(str(name)))
+                continue
+            if kind == "zero":
+                if len(encoded) != 1:
+                    raise ValueError("zero takes no operands")
+                append(ZERO)
+                continue
+            ids = encoded[1:]
+            # ``built`` holds exactly the earlier records, so indexing it
+            # rejects forward references; negative indexes are refused here.
+            if ids and min(ids) < 0:
+                raise IndexError("negative child index")
+            children = [built[i] for i in ids]
             if kind == SUM:
-                built.append(ssum(children))
-            elif kind in _BUILDERS:
-                if len(children) != 2:
-                    raise StorageError(f"{kind} node needs 2 children, got {len(children)}")
-                built.append(_BUILDERS[kind](*children))
-            else:
-                raise StorageError(f"unknown node kind {kind!r}")
-    if not 0 <= root < len(built):
-        raise StorageError(f"root index {root} out of range")
-    return built[root]
-
-
-def exprs_to_arena(exprs: Sequence[Expr | None]) -> tuple[dict, list[int | None]]:
-    """Encode many expressions into one shared arena.
-
-    Returns ``(arena payload, root ids)``: the third wire encoding — one
-    flat node table for a whole batch of expressions, so structure shared
-    *across* expressions (bases, transaction variables) is shipped once
-    instead of once per row.  ``None`` entries pass through as ``None``.
-    """
-    from ..core.arena import ExprArena  # local: storage stays importable alone
-
-    arena = ExprArena()
-    roots = [None if expr is None else arena.add_expr(expr) for expr in exprs]
-    return arena.to_payload(), roots
-
-
-def exprs_from_arena(payload: Mapping, roots: Sequence[int | None]) -> list[Expr | None]:
-    """Inverse of :func:`exprs_to_arena`; re-interns every node."""
-    from ..core.arena import ArenaError, ExprArena
-
-    try:
-        arena = ExprArena.from_payload(dict(payload))
-        return [None if r is None else arena.get_expr(int(r)) for r in roots]
-    except (ArenaError, TypeError, ValueError) as exc:
-        raise StorageError(f"malformed arena payload: {exc}") from exc
-
-
-def expr_to_json(expr: Expr, indent: int | None = None) -> str:
-    return json.dumps(expr_to_dict(expr), indent=indent)
-
-
-def expr_from_json(text: str) -> Expr:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StorageError(f"invalid expression JSON: {exc}") from exc
-    return expr_from_dict(payload)
-
-
-# ---------------------------------------------------------------------------
-# Nested encoding
-# ---------------------------------------------------------------------------
-
-
-def expr_to_nested(expr: Expr) -> object:
-    """Readable nested lists: ``["+M", ["var", "p1"], ...]``; sharing lost."""
-    memo: dict[int, object] = {}
-    for node in postorder(expr):
-        if node.kind == VAR:
-            memo[id(node)] = ["var", node.name]
-        elif node.kind == ZERO_KIND:
-            memo[id(node)] = ["zero"]
-        else:
-            memo[id(node)] = [node.kind, *(memo[id(c)] for c in node.children)]
-    return memo[id(expr)]
-
-
-def expr_from_nested(data: object) -> Expr:
-    """Inverse of :func:`expr_to_nested` (iterative, deep-chain safe)."""
-    if not isinstance(data, (list, tuple)) or not data:
-        raise StorageError(f"malformed nested expression: {data!r}")
-    # Iterative post-order over the nested lists.
-    results: dict[int, Expr] = {}
-    stack: list[tuple[object, bool]] = [(data, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not isinstance(node, (list, tuple)) or not node:
-            raise StorageError(f"malformed nested expression node: {node!r}")
-        kind = node[0]
-        if kind == "var":
-            results[id(node)] = var(str(node[1]))
-            continue
-        if kind == "zero":
-            results[id(node)] = ZERO
-            continue
-        if expanded:
-            children = [results[id(c)] for c in node[1:]]
-            if kind == SUM:
-                results[id(node)] = ssum(children)
-            elif kind in _BUILDERS and len(children) == 2:
-                results[id(node)] = _BUILDERS[kind](*children)
-            else:
-                raise StorageError(f"unknown or malformed node {node[:1]!r}")
-        else:
-            stack.append((node, True))
-            for child in node[1:]:
-                stack.append((child, False))
-    return results[id(data)]
+                append(ssum(children))
+                continue
+            builder = _BUILDERS.get(kind)
+            if builder is None:
+                raise ValueError(f"unknown node kind {kind!r}")
+            if len(children) != 2:
+                raise ValueError(f"{kind} needs 2 children, got {len(children)}")
+            append(builder(*children))
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"malformed node {position} {encoded!r}: {exc}") from exc
+    return built

@@ -7,15 +7,24 @@ from the engine that produced it — they can be saved to a sqlite3 file,
 re-loaded later (or elsewhere), specialized, minimized and queried without
 replaying the log.
 
-Sqlite layout (one file per snapshot)::
+Sqlite layout (one file per snapshot, marked ``PRAGMA user_version = 1``)::
 
     meta(key TEXT PRIMARY KEY, value TEXT)
-    relations(name TEXT PRIMARY KEY, attributes TEXT)       -- JSON list
-    rows(relation TEXT, row TEXT, live INTEGER, expr TEXT)  -- JSON row/DAG
+    relations(name TEXT PRIMARY KEY, attributes TEXT)        -- JSON list
+    exprs(nodes TEXT)                                        -- one row
+    rows(relation TEXT, row TEXT, live INTEGER, root INTEGER)
 
-Expression DAGs are serialized per row; sharing across rows is therefore
-not preserved on disk (the common case — normal-form snapshots — has
-little cross-row sharing to lose, and the format stays row-independent).
+Every annotation of the snapshot goes into *one* shared node table
+(:func:`repro.storage.exprjson.exprs_to_arena`), stored once in
+``exprs``; each row stores the integer index of its root.  Normal-form
+rows share a lot: rows written by one transaction share its variable
+and the sub-expressions it combined, so storing each distinct node once
+keeps a checkpoint linear in the distinct nodes rather than in the
+per-row DAG sum (which is several times larger on history-laden
+workloads).  A file without the current format marker (the older
+one-node-table-per-row layout) is refused with a
+:class:`~repro.errors.StorageError`; rebuild that state by replaying its
+log.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from ..db.database import Database
 from ..db.schema import Relation, Schema
 from ..errors import StorageError
 from ..store.annotation_store import AnnotationStore
-from .exprjson import expr_from_dict, expr_to_dict
+from .exprjson import exprs_from_arena, exprs_to_arena
 
 __all__ = [
     "AnnotatedSnapshot",
@@ -197,14 +206,20 @@ def restore_executor(snapshot: AnnotatedSnapshot, policy: str = "naive"):
 # Sqlite persistence
 # ---------------------------------------------------------------------------
 
-_SCHEMA_SQL = """
+#: ``PRAGMA user_version`` of the shared-node-table layout.  Files from
+#: the per-row layout carry sqlite's default 0 and are refused on load.
+_FORMAT = 1
+
+_SCHEMA_SQL = f"""
+PRAGMA user_version = {_FORMAT};
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE relations (name TEXT PRIMARY KEY, attributes TEXT NOT NULL);
+CREATE TABLE exprs (nodes TEXT NOT NULL);
 CREATE TABLE rows (
     relation TEXT NOT NULL REFERENCES relations(name),
     row TEXT NOT NULL,
     live INTEGER NOT NULL,
-    expr TEXT NOT NULL,
+    root INTEGER NOT NULL,
     PRIMARY KEY (relation, row)
 );
 """
@@ -236,12 +251,18 @@ def save_snapshot(snapshot: AnnotatedSnapshot, path: str | Path, fsync: bool = F
                 "INSERT INTO relations VALUES (?, ?)",
                 ((r.name, json.dumps(list(r.attributes))) for r in snapshot.schema),
             )
+            entries = [
+                (name, row, expr, live)
+                for name in snapshot.schema.names
+                for row, expr, live in snapshot.items(name)
+            ]
+            table, roots = exprs_to_arena(expr for _name, _row, expr, _live in entries)
+            conn.execute("INSERT INTO exprs VALUES (?)", (json.dumps(table["nodes"]),))
             conn.executemany(
                 "INSERT INTO rows VALUES (?, ?, ?, ?)",
                 (
-                    (name, json.dumps(list(row)), int(live), json.dumps(expr_to_dict(expr)))
-                    for name in snapshot.schema.names
-                    for row, expr, live in snapshot.items(name)
+                    (name, json.dumps(list(row)), int(live), root)
+                    for (name, row, _expr, live), root in zip(entries, roots)
                 ),
             )
             conn.commit()
@@ -273,32 +294,37 @@ def _fsync_directory(directory: Path) -> None:
 
 
 def load_snapshot(path: str | Path) -> AnnotatedSnapshot:
-    """Read a snapshot back from a sqlite3 file."""
+    """Read a snapshot back from a sqlite3 file (current format only)."""
     path = Path(path)
     if not path.exists():
         raise StorageError(f"no snapshot at {path}")
     conn = sqlite3.connect(path)
     try:
         try:
-            relations = [
-                Relation(name, json.loads(attrs))
-                for name, attrs in conn.execute("SELECT name, attributes FROM relations")
-            ]
-            meta = {
-                key: json.loads(value) for key, value in conn.execute("SELECT key, value FROM meta")
-            }
-            snapshot = AnnotatedSnapshot(Schema(relations), meta)
-            for name, row_json, live, expr_json in conn.execute(
-                "SELECT relation, row, live, expr FROM rows"
-            ):
-                snapshot.set(
-                    name,
-                    tuple(json.loads(row_json)),
-                    expr_from_dict(json.loads(expr_json)),
-                    bool(live),
-                )
-        except (sqlite3.DatabaseError, json.JSONDecodeError, KeyError) as exc:
+            (found,) = conn.execute("PRAGMA user_version").fetchone()
+            if found == _FORMAT:
+                return _read_snapshot(conn)
+        except (StorageError, sqlite3.DatabaseError, json.JSONDecodeError, KeyError, TypeError) as exc:
             raise StorageError(f"corrupt snapshot {path}: {exc}") from exc
-        return snapshot
     finally:
         conn.close()
+    raise StorageError(
+        f"snapshot {path} has format {found}, this build reads {_FORMAT}; a "
+        "checkpoint from before the shared node table must be rebuilt by "
+        "replaying its log"
+    )
+
+
+def _read_snapshot(conn: sqlite3.Connection) -> AnnotatedSnapshot:
+    relations = [
+        Relation(name, json.loads(attrs))
+        for name, attrs in conn.execute("SELECT name, attributes FROM relations")
+    ]
+    meta = {key: json.loads(value) for key, value in conn.execute("SELECT key, value FROM meta")}
+    snapshot = AnnotatedSnapshot(Schema(relations), meta)
+    (nodes_json,) = conn.execute("SELECT nodes FROM exprs").fetchone()
+    rows = conn.execute("SELECT relation, row, live, root FROM rows").fetchall()
+    exprs = exprs_from_arena({"nodes": json.loads(nodes_json)}, [root for *_, root in rows])
+    for (name, row_json, live, _root), expr in zip(rows, exprs):
+        snapshot.set(name, tuple(json.loads(row_json)), expr, bool(live))
+    return snapshot

@@ -31,10 +31,11 @@ The buffer is drained at quiescent points only — the same points that
 publish snapshots — and every drained :class:`DeltaBatch` is stamped with
 the snapshot version that produced it.
 
-On the wire a batch reuses the capture codec's arena form
-(:func:`repro.storage.exprjson.exprs_to_arena`): one shared node table
-per batch, expressions re-interned by the receiving process exactly like
-shard-worker captures.
+On the wire a batch carries the one expression encoding every capture
+uses (:func:`repro.storage.exprjson.exprs_to_arena`): one shared node
+table per batch plus an integer root per delta, expressions re-interned
+by the receiving process exactly like ``state`` replies and shard-worker
+captures.
 """
 
 from __future__ import annotations
@@ -178,16 +179,16 @@ def apply_delta_batch(
 
 
 # ---------------------------------------------------------------------------
-# Wire codec (reuses the capture arena form; see repro.shard.codec)
+# Wire codec (the shared node table; see repro.storage.exprjson)
 # ---------------------------------------------------------------------------
 
 
 def encode_delta_batch(batch: DeltaBatch) -> dict:
-    """A pickle/JSON-safe batch: one shared expression arena per batch."""
-    arena, roots = exprs_to_arena([delta.expr for delta in batch.deltas])
+    """A pickle/JSON-safe batch: one shared node table per batch."""
+    table, roots = exprs_to_arena(delta.expr for delta in batch.deltas)
     return {
         "version": batch.version,
-        "exprs": arena,
+        "exprs": table,
         "deltas": [
             [delta.kind, delta.relation, list(delta.row), root, delta.live]
             for delta, root in zip(batch.deltas, roots)

@@ -1,20 +1,21 @@
-"""Round-trip properties of the integer-id expression arena.
+"""Round-trip properties of the expression arena and the capture codec.
 
-The arena is the flat at-rest/wire form of hash-consed expressions
-(``kind[]/a[]/b[]/args[]`` integer tables).  Because decoding goes back
-through the smart constructors, a round trip must hand back the *same*
-interned objects — identity, not just structural equality — for any
-expression shape, and an arena-form capture must be bit-identical to the
-legacy per-row object form for every policy the wire carries.
+The arena is the flat at-rest form of hash-consed expressions
+(``kind[]/a[]/b[]/args[]`` integer tables); captures cross the process
+boundary as one shared node table.  Because decoding goes back through
+the smart constructors, a round trip must hand back the *same* interned
+objects — identity, not just structural equality — for any expression
+shape, and for every policy the wire carries.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arena import ExprArena
+from repro.core.expr import dag_size
 from repro.db.database import Database
 from repro.engine.engine import Engine
-from repro.shard.codec import capture_engine, decode_capture, encode_capture
+from repro.shard.codec import capture_engine, decode_capture, encode_capture, exprs_of
 from repro.storage.exprjson import exprs_from_arena, exprs_to_arena
 
 from .strategies import arbitrary_exprs, logs
@@ -30,15 +31,6 @@ def test_arena_round_trip_is_identity(expr):
     assert arena.get_expr(arena.add_expr(expr)) is expr
 
 
-@given(arbitrary_exprs())
-def test_arena_payload_round_trip_is_identity(expr):
-    """Serializing the arena's tables and decoding elsewhere re-interns."""
-    arena = ExprArena()
-    nid = arena.add_expr(expr)
-    again = ExprArena.from_payload(arena.to_payload())
-    assert again.get_expr(nid) is expr
-
-
 @given(st.lists(st.one_of(st.none(), arbitrary_exprs()), max_size=6))
 def test_shared_arena_wire_round_trip(exprs):
     """Many expressions through one shared node table, ``None`` passing through."""
@@ -51,13 +43,13 @@ def test_shared_arena_wire_round_trip(exprs):
 
 @settings(max_examples=25, deadline=None)
 @given(logs())
-def test_capture_arena_form_matches_object_form(items):
-    """Arena-encoded captures decode bit-identical to the per-row object form.
+def test_capture_round_trip_is_identity(items):
+    """Encoded captures decode to the identical interned expression per row.
 
     The same update history runs under every provenance-carrying policy;
-    for each, the capture round-tripped through ``encode_capture(...,
-    arena=True)`` must hold the identical interned expression per row as
-    both the legacy object-form round trip and the capture itself.
+    for each, the capture round-tripped through :func:`encode_capture`
+    must hold the identical interned expression and liveness per row, in
+    one node table with exactly one record per distinct node.
     """
     for policy in WIRE_POLICIES:
         engine = Engine(
@@ -67,13 +59,13 @@ def test_capture_arena_form_matches_object_form(items):
         for transaction in items:
             engine.apply(transaction)
         capture = capture_engine(engine)
-        via_arena = decode_capture(encode_capture(capture, arena=True))
-        via_objects = decode_capture(encode_capture(capture))
-        assert via_arena.keys() == capture.keys() == via_objects.keys()
+        payload = encode_capture(capture)
+        assert len(payload["exprs"]["nodes"]) == dag_size(exprs_of(capture.values()))
+        decoded = decode_capture(payload)
+        assert decoded.keys() == capture.keys()
         for name, rows in capture.items():
-            assert via_arena[name].keys() == rows.keys()
+            assert decoded[name].keys() == rows.keys()
             for row, (expr, live) in rows.items():
-                arena_expr, arena_live = via_arena[name][row]
-                assert arena_expr is expr, (policy, row)
-                assert arena_live == live
-                assert via_objects[name][row][0] is expr
+                again, again_live = decoded[name][row]
+                assert again is expr, (policy, row)
+                assert again_live == live

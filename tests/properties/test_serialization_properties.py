@@ -1,15 +1,19 @@
 """Round-trip properties of every serialization format."""
 
-from hypothesis import given
+import json
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.expr import dag_size
 from repro.db.schema import Schema
 from repro.lang.datalog import format_query, parse_query
 from repro.lang.sql import format_sql, parse_sql
 from repro.storage.exprjson import (
     expr_from_dict,
-    expr_from_nested,
     expr_to_dict,
-    expr_to_nested,
+    exprs_from_arena,
+    exprs_to_arena,
 )
 from repro.workloads.logs import UpdateLog, log_from_json, log_to_json, query_from_dict, query_to_dict
 
@@ -23,9 +27,16 @@ def test_expr_dag_json_round_trip(expr):
     assert expr_from_dict(expr_to_dict(expr)) is expr
 
 
-@given(construction_exprs())
-def test_expr_nested_round_trip(expr):
-    assert expr_from_nested(expr_to_nested(expr)) is expr
+@given(st.lists(st.one_of(st.none(), arbitrary_exprs(), construction_exprs()), max_size=8))
+def test_exprs_node_table_round_trip(exprs):
+    """Many roots, one table: JSON text in between, identity out, and
+    exactly one record per distinct node across all the roots."""
+    table, roots = exprs_to_arena(exprs)
+    assert len(table["nodes"]) == dag_size(e for e in exprs if e is not None)
+    decoded = exprs_from_arena(json.loads(json.dumps(table)), json.loads(json.dumps(roots)))
+    assert len(decoded) == len(exprs)
+    for original, again in zip(exprs, decoded):
+        assert again is original
 
 
 @given(queries)

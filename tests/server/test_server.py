@@ -11,8 +11,11 @@ backends.
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
+from repro.core.expr import dag_size
 from repro.db.database import Database
 from repro.engine.engine import Engine
 from repro.engine.oracle import assert_bit_identical
@@ -96,6 +99,21 @@ def test_round_trip_bit_identical_across_policies(policy):
             client.apply(items)
             direct.apply(items)
             assert_bit_identical(client.state(), direct)
+
+
+def test_provenance_reply_ships_each_distinct_node_once():
+    """Counted: a ``provenance`` reply carries ``dag_size`` of the relation's
+    annotations in nodes, not the sum of the per-row DAG sizes."""
+    database, items = small_workload(seed=3)
+    direct = Engine(database, policy="normal_form_batch").apply(items)
+    exprs = [expr for _row, expr, _live in direct.provenance("synthetic")]
+    distinct = dag_size(exprs)
+    assert distinct < sum(dag_size([expr]) for expr in exprs)  # rows do share
+    with serve(database, policy="normal_form_batch") as handle:
+        with ServerClient(handle.host, handle.port) as client:
+            client.apply(items)
+            reply = client._call("provenance", relation="synthetic")
+    assert len(reply["rows"]["exprs"]["nodes"]) == distinct
 
 
 def test_specialize_matches_in_process_engine(products_db):
@@ -205,6 +223,23 @@ def test_requests_after_shutdown_are_rejected():
     with pytest.raises(ServerError):
         second.apply(Insert("items", ("b",), annotation="t"))
     second.close()
+
+
+def test_stop_with_attached_clients_logs_no_errors(caplog):
+    """Every connection handler returns before the loop ends: stopping a
+    server with clients still attached (one of them subscribed) cancels
+    nothing mid-await, so asyncio logs no error."""
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    database = Database.from_rows("items", ["sku"], [("a",)])
+    handle = serve(database, policy="naive")
+    first = ServerClient(handle.host, handle.port)
+    second = ServerClient(handle.host, handle.port)
+    first.ping()
+    second.subscribe("items")
+    handle.stop()
+    first.close()
+    second.close()
+    assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
 def test_pipelined_applies_preserve_order_and_counts():

@@ -72,13 +72,6 @@ def build_stream(database: Database) -> list:
     return items
 
 
-def decode_rows(payload) -> dict:
-    return {
-        tuple(row): (None if enc is None else expr_from_dict(enc), bool(live))
-        for row, enc, live in payload
-    }
-
-
 @pytest.mark.parametrize("policy", ["naive", "normal_form_batch"])
 def test_concurrent_readers_observe_only_prefix_states(policy):
     database = build_database()
@@ -162,14 +155,10 @@ def test_concurrent_readers_observe_only_prefix_states(policy):
             last_version = version
             seen_versions.add(version)
             expected = prefix_states[version]["items"]
-            if kind == "state":
-                # The state op ships the arena wire form; decode_capture
-                # handles it (and re-interns, so equality is identity).
-                assert decode_capture(payload)["items"] == {
-                    row: entry for row, entry in expected.items()
-                }
-            elif kind == "rows":
-                assert decode_rows(payload) == dict(expected)
+            if kind in ("state", "rows"):
+                # Both ops ship one shared node table; decode_capture
+                # re-interns, so equality is identity.
+                assert decode_capture(payload)["items"] == dict(expected)
             else:
                 row, response = payload
                 entry = expected.get(row)

@@ -9,6 +9,8 @@ re-interned exprjson captures back) loses nothing.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.engine.engine import Engine
@@ -73,6 +75,7 @@ def test_parallel_apply_batch_and_interleaved_observation(workload):
 
 
 def test_worker_errors_surface_as_engine_errors(workload):
+    began = time.perf_counter()
     with ShardedEngine(
         workload.database, n_shards=2, policy="naive", shard_keys={"synthetic": "grp"},
         parallel=True,
@@ -82,6 +85,10 @@ def test_worker_errors_surface_as_engine_errors(workload):
             # and the failure crosses the pipe as a structured error.
             sharded.apply(Insert("synthetic", (1, 2), "p"))
             sharded.support_count()  # force the drain if buffered
+    # Closing a failed pool hangs up on every worker: each sees EOF and
+    # exits on its own (exit code 0), none is left to the terminate fallback.
+    assert [process.exitcode for process in sharded._backend._processes] == [0, 0]
+    assert time.perf_counter() - began < 5.0
 
 
 def test_closed_pool_refuses_further_work(workload):

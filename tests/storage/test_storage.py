@@ -1,37 +1,59 @@
-"""Serialization: expression JSON, sqlite snapshots, CSV I/O."""
+"""Serialization: the expression codec, sqlite snapshots, CSV I/O."""
+
+import json
+import re
+import sqlite3
+from contextlib import closing
 
 import pytest
 
-from repro.core.expr import ZERO, minus, plus_i, plus_m, ssum, times_m, var
+from repro.core.expr import ZERO, dag_size, minus, plus_i, plus_m, ssum, times_m, var
 from repro.db.database import Database
 from repro.engine.engine import Engine
 from repro.errors import StorageError
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Delete, Insert, Modify, Transaction
+from repro.shard.codec import decode_capture, encode_capture
 from repro.storage import (
     AnnotatedSnapshot,
     dump_csv,
     expr_from_dict,
-    expr_from_json,
-    expr_from_nested,
     expr_to_dict,
-    expr_to_json,
-    expr_to_nested,
     load_csv,
     load_snapshot,
     save_snapshot,
 )
+from repro.storage.exprjson import exprs_from_arena, exprs_to_arena
 
 A, B, P = var("a"), var("b"), var("p")
 SAMPLE = plus_m(minus(A, P), times_m(ssum([A, B]), P))
 
+#: Malformed node tables, each paired with the root it is decoded at.
+MALFORMED_TABLES = {
+    "unknown kind": ([["wat"]], 0),
+    "forward reference": ([["+I", 0, 5]], 0),
+    "negative reference": ([["var", "a"], ["+I", 0, -1]], 1),
+    "root out of range": ([["var", "a"]], 7),
+    "binary arity": ([["var", "a"], ["-", 0]], 1),
+    "var arity": ([["var"]], 0),
+    "zero arity": ([["zero", 0]], 0),
+}
+
+
+def round_trip(exprs):
+    """Through the shared table *and* JSON text, as every payload travels."""
+    table, roots = exprs_to_arena(exprs)
+    return exprs_from_arena(json.loads(json.dumps(table)), json.loads(json.dumps(roots)))
+
 
 class TestExprJson:
     def test_dag_round_trip(self):
-        assert expr_from_json(expr_to_json(SAMPLE)) is SAMPLE
+        assert round_trip([SAMPLE, A, None, SAMPLE]) == [SAMPLE, A, None, SAMPLE]
+        assert expr_from_dict(expr_to_dict(SAMPLE)) is SAMPLE
 
     def test_zero_round_trip(self):
-        assert expr_from_json(expr_to_json(ZERO)) is ZERO
+        (again,) = round_trip([ZERO])
+        assert again is ZERO
 
     def test_sharing_preserved(self):
         shared = plus_i(A, P)
@@ -40,30 +62,57 @@ class TestExprJson:
         # 4 distinct leaves/nodes + root, not the 9 of the expanded tree.
         assert len(payload["nodes"]) == 5
 
+    def test_sharing_across_roots_is_stored_once(self):
+        shared = plus_i(A, P)
+        exprs = [minus(shared, B), times_m(shared, B), shared]
+        table, roots = exprs_to_arena(exprs)
+        assert len(table["nodes"]) == dag_size(exprs) == 6
+        assert roots[2] == table["nodes"].index(["+I", 0, 1])
+
+    def test_one_root_case_is_the_shared_table(self):
+        table, (root,) = exprs_to_arena([SAMPLE])
+        assert expr_to_dict(SAMPLE) == {**table, "root": root}
+
     def test_deep_chain_round_trip(self):
         e = A
         for i in range(2500):
             e = minus(e, var(f"p{i % 3}"))
-        assert expr_from_json(expr_to_json(e)) is e
-
-    def test_nested_round_trip(self):
-        assert expr_from_nested(expr_to_nested(SAMPLE)) is SAMPLE
+        chain = [e, e.children[0], None]
+        assert round_trip(chain) == chain
 
     def test_malformed_payloads_rejected(self):
+        for label, (nodes, root) in MALFORMED_TABLES.items():
+            with pytest.raises(StorageError):
+                exprs_from_arena({"nodes": nodes}, [root])
+                pytest.fail(label)
+            with pytest.raises(StorageError):
+                expr_from_dict({"nodes": nodes, "root": root})
+        for payload in ({"nodes": "x"}, {"roots": []}, ["nodes"]):
+            with pytest.raises(StorageError):
+                exprs_from_arena(payload, [0])
+
+    def test_malformed_captures_rejected(self):
+        for nodes, root in MALFORMED_TABLES.values():
+            payload = {"exprs": {"nodes": nodes}, "relations": {"R": [[[1], root, True]]}}
+            with pytest.raises(StorageError):
+                decode_capture(payload)
         with pytest.raises(StorageError):
-            expr_from_json("{broken")
-        with pytest.raises(StorageError):
-            expr_from_dict({"nodes": [["wat"]], "root": 0})
-        with pytest.raises(StorageError):
-            expr_from_dict({"nodes": [["+I", 0, 5]], "root": 0})  # forward ref
-        with pytest.raises(StorageError):
-            expr_from_dict({"nodes": [["var", "a"]], "root": 7})
-        with pytest.raises(StorageError):
-            expr_from_nested(["nope"])
+            decode_capture({"relations": {"R": [[[1], 0, True]]}})
+
+    def test_capture_shares_one_table_across_relations(self):
+        shared = plus_i(A, P)
+        capture = {
+            "R": {(1,): (minus(shared, B), True), (2,): (None, False)},
+            "S": {(3,): (shared, True)},
+        }
+        payload = encode_capture(capture)
+        assert len(payload["exprs"]["nodes"]) == 5
+        assert decode_capture(json.loads(json.dumps(payload))) == capture
 
     def test_decoder_reapplies_zero_axioms(self):
         payload = {"nodes": [["zero"], ["var", "p"], ["+I", 0, 1]], "root": 2}
         assert expr_from_dict(payload) is var("p")
+        assert exprs_from_arena(payload, [2, 0]) == [var("p"), ZERO]
 
 
 class TestSnapshot:
@@ -135,6 +184,46 @@ class TestSnapshot:
         path = tmp_path / "bad.sqlite"
         path.write_text("this is not sqlite")
         with pytest.raises(StorageError):
+            load_snapshot(path)
+
+    def test_one_node_table_per_snapshot(self, tmp_path):
+        _db, engine = self.make_engine()
+        snap = AnnotatedSnapshot.from_engine(engine)
+        path = tmp_path / "snap.sqlite"
+        save_snapshot(snap, path)
+        with closing(sqlite3.connect(path)) as conn:
+            (nodes,) = conn.execute("SELECT nodes FROM exprs").fetchone()
+        exprs = [expr for name in snap.schema.names for _row, expr, _live in snap.items(name)]
+        assert len(json.loads(nodes)) == dag_size(exprs)
+
+    def test_load_rejects_malformed_node_table(self, tmp_path):
+        _db, engine = self.make_engine()
+        path = tmp_path / "snap.sqlite"
+        for nodes, root in MALFORMED_TABLES.values():
+            save_snapshot(AnnotatedSnapshot.from_engine(engine), path)
+            with closing(sqlite3.connect(path)) as conn, conn:
+                conn.execute("UPDATE exprs SET nodes = ?", (json.dumps(nodes),))
+                conn.execute("UPDATE rows SET root = ?", (root,))
+            with pytest.raises(StorageError, match="corrupt snapshot"):
+                load_snapshot(path)
+
+    def test_load_refuses_the_per_row_layout(self, tmp_path):
+        """A checkpoint from before the shared node table (one expression
+        table per row, no format marker) is refused, naming the file."""
+        path = tmp_path / "old.sqlite"
+        with closing(sqlite3.connect(path)) as conn, conn:
+            conn.executescript(
+                """
+                CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+                CREATE TABLE relations (name TEXT PRIMARY KEY, attributes TEXT NOT NULL);
+                CREATE TABLE rows (relation TEXT, row TEXT, live INTEGER, expr TEXT);
+                INSERT INTO relations VALUES ('R', '["v"]');
+                """
+            )
+            conn.execute(
+                "INSERT INTO rows VALUES ('R', '[1]', 1, ?)", (json.dumps(expr_to_dict(P)),)
+            )
+        with pytest.raises(StorageError, match=f"{re.escape(str(path))}.*replaying"):
             load_snapshot(path)
 
     def test_specialize_offline(self):
