@@ -20,6 +20,7 @@ __all__ = ["expr_to_bdd"]
 
 def expr_to_bdd(expr: Expr, bdd: Bdd) -> int:
     """The BDD of ``expr`` under the Boolean Update-Structure."""
+    # Keyed by id: ``expr`` pins every node postorder yields for the call.
     memo: dict[int, int] = {}
     for node in postorder(expr):
         kind = node.kind

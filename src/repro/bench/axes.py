@@ -847,7 +847,7 @@ def replication_axis(sizes, workdir: Path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# memory: grow-only objects vs. reclaimable interning + arena encoding
+# memory: object DAGs vs. arena encoding at rest
 # ---------------------------------------------------------------------------
 
 
@@ -872,66 +872,52 @@ def _memchild_run(config: dict) -> dict:
     return json.loads(completed.stdout)
 
 
-_QUADRANTS = ("objects_gc", "arena_grow", "arena_gc")
-
-
 @axis(
     "memory",
-    "Memory: grow-only object interning vs reclaimable interning / arena encoding",
-    "interned nodes at the end of the run",
-    # (modes compared against objects_grow, memchild workload).  Multi-query
-    # transactions matter: normal_form_batch flushes at transaction ends,
-    # so they also exercise the second garbage source — naive
-    # within-transaction chains that the flush rewrites away.
+    "Memory: object DAGs vs arena encoding at rest (interning follows live provenance)",
+    "expression objects resident at rest",
+    # memchild workload.  Multi-query transactions matter: normal_form_batch
+    # flushes at transaction ends, so they also exercise the second garbage
+    # source — naive within-transaction chains that the flush rewrites away.
     _by_scale(
-        (("arena_gc",), dict(epochs=5, transactions=8, queries_per_transaction=4,
-                             rows=120, groups=10)),
-        (_QUADRANTS, dict(epochs=16, transactions=24, queries_per_transaction=6,
-                          rows=300, groups=15)),
-        (_QUADRANTS, dict(epochs=32, transactions=48, queries_per_transaction=6,
-                          rows=600, groups=30)),
-        (_QUADRANTS, dict(epochs=64, transactions=96, queries_per_transaction=6,
-                          rows=1_200, groups=60)),
+        dict(epochs=5, transactions=8, queries_per_transaction=4, rows=120, groups=10),
+        dict(epochs=16, transactions=24, queries_per_transaction=6, rows=300, groups=15),
+        dict(epochs=32, transactions=48, queries_per_transaction=6, rows=600, groups=30),
+        dict(epochs=64, transactions=96, queries_per_transaction=6, rows=1_200, groups=60),
     ),
 )
-def memory_axis(sizes, _workdir: Path) -> list[dict]:
-    """Run the epoch-churn workload of :mod:`repro.bench.memchild` once per mode.
+def memory_axis(workload, _workdir: Path) -> list[dict]:
+    """Run the epoch-churn workload of :mod:`repro.bench.memchild` per mode.
 
     One subprocess per mode: peak RSS is monotone over a process lifetime,
     so two configurations measured in one process would both report the
-    larger one's peak.  Every mode runs the identical seeded workload and
-    must fingerprint the same final annotated states — the sweep and the
-    arena are representation changes, never semantic ones.  Modes that
-    reclaim (``*_gc``) gate on the interned-node population; a grow-only
-    mode keeps every node by construction and is reported for attribution
-    only.  Peak RSS is reported beside it: at tiny scale the interpreter
-    baseline dominates both sides, so it is a reported column, not a gate.
+    larger one's peak.  Both modes run the identical seeded workload and
+    must fingerprint the same final annotated states — the arena is a
+    representation change, never a semantic one.  ``consistent`` also
+    requires, in each mode, that the intern table holds exactly the nodes
+    reachable from the resident engine plus ``ZERO`` once the epochs are
+    over: nothing a discarded engine built may outlive it.  The counted
+    claim is the expression objects resident at rest (the arena keeps the
+    same state as flat integer tables).  Peak RSS is reported beside it.
     """
-    from .memchild import MODES
-
-    modes, workload = sizes
-    reports = {
-        mode: _memchild_run({"mode": mode, "seed": 23, **workload})
-        for mode in ("objects_grow", *modes)
-    }
-    baseline = reports["objects_grow"]
-    consistent = len({report["fingerprint"] for report in reports.values()}) == 1
+    objects, arena = (
+        _memchild_run({"mode": mode, "seed": 23, **workload}) for mode in ("objects", "arena")
+    )
+    consistent = objects["fingerprint"] == arena["fingerprint"] and all(
+        report["live_nodes"] == report["reachable_nodes"] for report in (objects, arena)
+    )
     return [
         _row(
             {
-                "mode": mode,
+                "mode": "arena",
                 "epochs": workload["epochs"],
-                "baseline peak rss": baseline["peak_rss_bytes"],
-                "claimed peak rss": report["peak_rss_bytes"],
-                "rss ratio": _ratio(baseline["peak_rss_bytes"], report["peak_rss_bytes"]),
-                "swept": int(report["sweep"].get("swept_total", 0)),
+                "reachable nodes": objects["reachable_nodes"],
+                "baseline peak rss": objects["peak_rss_bytes"],
+                "claimed peak rss": arena["peak_rss_bytes"],
+                "rss ratio": _ratio(objects["peak_rss_bytes"], arena["peak_rss_bytes"]),
             },
-            work=(baseline["intern_table_size"], report["intern_table_size"])
-            if MODES[mode][0]
-            else None,
-            seconds=(baseline["elapsed_s"], report["elapsed_s"]),
+            work=(objects["intern_table_size"], arena["intern_table_size"]),
+            seconds=(objects["elapsed_s"], arena["elapsed_s"]),
             consistent=consistent,
         )
-        for mode, report in reports.items()
-        if mode != "objects_grow"
     ]

@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from ..core.expr import clear_intern_table, intern_table_size
 from ..db.database import Database
 from ..engine.engine import Engine
 from ..semantics.boolean import BooleanStructure
@@ -100,13 +99,6 @@ def series_run(
     that checkpoints land exactly on the requested counts even under the
     single-annotation execution model.
     """
-    # A previous policy's run (the naive one especially) can leave millions
-    # of live interned nodes behind, and their weight would be billed to
-    # this run's allocations and GC.  Clearing drops the identity-equality
-    # guarantee for expressions created *before* the clear, so only do it
-    # when the table got genuinely heavy (never in unit-test sessions).
-    if intern_table_size() > 500_000:
-        clear_intern_table()
     engine = Engine(database, policy=policy, annotate=annotate)
     run = SeriesRun(policy, engine=engine)
     targets = sorted(set(checkpoints))
@@ -154,7 +146,9 @@ def _evaluate_boolean(expr, deleted_vars: set[str], memo: dict[int, bool]) -> bo
 
     Semantically identical to ``evaluate(expr, BooleanStructure(), env)``
     with ``env = name not in deleted_vars``; the persistent memo makes the
-    whole-database valuation a single pass over the provenance DAG.
+    whole-database valuation a single pass over the provenance DAG.  The
+    memo is keyed by ``id``, so the caller must hold every root evaluated
+    into it for as long as the memo is used.
     """
     from ..core.expr import MINUS, PLUS_I, PLUS_M, SUM, TIMES_M, VAR
 
@@ -251,11 +245,15 @@ def usage_measurement(
     start = time.perf_counter()
     survivors: dict[str, set[tuple]] = {}
     # One assignment pass over the whole annotated database: shared
-    # sub-expressions are evaluated once (memo persists across rows).
+    # sub-expressions are evaluated once (memo persists across rows).  The
+    # roots are held for the whole pass — provenance may yield transient
+    # to_expr() results, whose ids a later row's nodes could reuse.
     memo: dict[int, bool] = {}
+    held: list = []
     for relation in engine.executor.schema.names:
         bucket: set[tuple] = set()
         for row, expr, _live in engine.provenance(relation):
+            held.append(expr)
             if _evaluate_boolean(expr, deleted_vars, memo):
                 bucket.add(row)
         survivors[relation] = bucket

@@ -1,24 +1,22 @@
 """Subprocess child of the ``memory`` axis (:func:`repro.bench.axes.memory_axis`).
 
 Peak RSS (:func:`repro.memory.peak_rss_bytes`) is monotone over a process lifetime, so
-comparing the memory behaviour of two interning/encoding configurations is
-only honest when each configuration runs in a *fresh* process.  The parent
+comparing the memory behaviour of two encoding configurations is only
+honest when each configuration runs in a *fresh* process.  The parent
 launches this module as ``python -m repro.bench.memchild`` once per mode
 with a JSON config on stdin (``mode``, ``seed`` and the workload sizes of
 the axis's table); the child runs a deterministic churn workload and
 reports a JSON measurement on stdout.
 
-The workload models the long-lived server process the interning sweep was
-built for: one *resident* engine whose annotated state stays live (the
-root set), plus a sequence of workload *epochs* — fresh engines built,
-churned through multi-query ``normal_form_batch`` transactions, observed,
-and discarded, the way successive benchmark runs, decoded captures and
-retired snapshots come and go inside one process.  Every epoch's
-expressions are garbage the moment its engine is dropped; a grow-only
-intern table keeps them immortal (the failure mode ``series_run`` used to
-paper over with ``clear_intern_table``), while the epoch sweep reclaims
-them and RSS plateaus.  Epoch streams are pure functions of the seed, so
-the final fingerprints must be bit-identical across all four modes.
+The workload models a long-lived server process: one *resident* engine
+whose annotated state stays live, plus a sequence of workload *epochs* —
+fresh engines built, churned through multi-query ``normal_form_batch``
+transactions, observed, and discarded, the way successive benchmark runs,
+decoded captures and retired snapshots come and go inside one process.
+Every epoch's expressions die with its engine, so after the epochs the
+intern table must hold exactly the nodes reachable from the resident
+state (plus ``ZERO``).  Epoch streams are pure functions of the seed, so
+the final fingerprints must be bit-identical across both modes.
 """
 
 from __future__ import annotations
@@ -30,13 +28,8 @@ import time
 
 __all__ = ["run_child", "MODES"]
 
-#: The four measured quadrants: (reclaimable interning?, arena at rest?).
-MODES: dict[str, tuple[bool, bool]] = {
-    "objects_grow": (False, False),
-    "objects_gc": (True, False),
-    "arena_grow": (False, True),
-    "arena_gc": (True, True),
-}
+#: The measured modes: is the resident state arena-encoded at rest?
+MODES: dict[str, bool] = {"objects": False, "arena": True}
 
 
 def _churn_transactions(config: dict, epoch: int) -> "list":
@@ -90,6 +83,12 @@ def _fresh_engine(config: dict, arena_on: bool):
     return Engine(database, policy="normal_form_batch", arena=arena_on)
 
 
+def _observe(engine) -> None:
+    """Read every annotation, holding none of them afterwards."""
+    for _ in engine.provenance("churn"):
+        pass
+
+
 def _capture_blob(engine) -> bytes:
     """The canonically serialized full annotated state."""
     from ..shard.codec import capture_engine, encode_capture
@@ -100,27 +99,20 @@ def _capture_blob(engine) -> bytes:
 
 def run_child(config: dict) -> dict:
     """Run one mode's workload in this process and return its measurement."""
-    from ..core.expr import (
-        intern_sweep_stats,
-        intern_table_size,
-        set_intern_gc,
-        sweep_intern_table,
-    )
+    import gc
+
+    from ..core.expr import ZERO, dag_size, intern_table_size
     from ..memory import current_rss_bytes, peak_rss_bytes
 
     if config["mode"] not in MODES:
         raise ValueError(f"unknown memchild mode {config['mode']!r} (known: {', '.join(MODES)})")
-    gc_on, arena_on = MODES[config["mode"]]
-    if gc_on:
-        # Before any workload expression exists, so the nursery covers them.
-        set_intern_gc(True)
+    arena_on = MODES[config["mode"]]
 
-    # The resident engine: its annotated state is the live root set that
-    # every sweep must preserve.  Epoch -1 seeds it with real history.
+    # The resident engine: its annotated state is the only provenance that
+    # outlives the epochs.  Epoch -1 seeds it with real history.
     resident = _fresh_engine(config, arena_on)
     resident.apply(_churn_transactions(config, epoch=-1))
-    for _ in resident.provenance("churn"):
-        pass
+    _observe(resident)
 
     started = time.perf_counter()
     intern_peak = intern_table_size()
@@ -132,15 +124,11 @@ def run_child(config: dict) -> dict:
         # Observation flushes the batch; the naive chains built during
         # each transaction are already garbage, the rest of the epoch's
         # expressions become garbage when `engine` is dropped below.
-        for _ in engine.provenance("churn"):
-            pass
+        _observe(engine)
         if epoch == config["epochs"] - 1:
             digest.update(_capture_blob(engine))
         intern_peak = max(intern_peak, intern_table_size())
         del engine
-        if gc_on:
-            sweep_intern_table()
-            resident.executor.store.compact_arena()
         samples.append(
             {
                 "epoch": epoch,
@@ -150,23 +138,34 @@ def run_child(config: dict) -> dict:
         )
     elapsed = time.perf_counter() - started
 
-    # The resident state must be untouched by the sweeps.
     digest.update(_capture_blob(resident))
+    # At rest: the arena's decode cache holds what flushes decoded until the
+    # arena is repacked (the server repacks once its arena has doubled), and
+    # engines may sit in reference cycles; release both before counting.
+    resident.compact_arena()
+    gc.collect()
+    at_rest = intern_table_size()
+    # Holding the resident annotations (decoded, in arena mode), the table
+    # must hold exactly their distinct nodes plus ZERO: nothing an epoch
+    # built may survive it.
+    held = [expr for _row, expr, _live in resident.provenance("churn")]
+    reachable = dag_size([*held, ZERO])
+    live = intern_table_size()
     arena = resident.executor.store.arena
     return {
         "mode": config["mode"],
-        "gc": gc_on,
         "arena": arena_on,
         "epochs": config["epochs"],
         "transactions_per_epoch": config["transactions"],
         "fingerprint": digest.hexdigest(),
         "peak_rss_bytes": peak_rss_bytes(),
         "end_rss_bytes": current_rss_bytes(),
-        "intern_table_size": intern_table_size(),
+        "intern_table_size": at_rest,
         "intern_table_peak": intern_peak,
+        "live_nodes": live,
+        "reachable_nodes": reachable,
         "arena_nodes": arena.node_count if arena is not None else 0,
         "arena_bytes": arena.nbytes() if arena is not None else 0,
-        "sweep": intern_sweep_stats(),
         "samples": samples,
         "elapsed_s": elapsed,
     }

@@ -191,14 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dispatch; default: 256)",
     )
     serve.add_argument(
-        "--sweep-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="sweep the expression intern table every N writer cycles "
-        "(bounds RSS under sustained churn; 0 = grow-only, the default)",
-    )
-    serve.add_argument(
         "--arena",
         action="store_true",
         help="hold annotations arena-encoded at rest (flat integer tables "
@@ -737,7 +729,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sync=args.journal_sync,
         checkpoint_every=args.checkpoint_every,
         admission_max=args.admission_max,
-        sweep_every=args.sweep_every,
         arena=args.arena,
     )
 
@@ -755,13 +746,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         recovery = service.engine.recovery
         if recovery is not None:
             print(f"recovered {args.directory}: {recovery.as_dict()}")
-        memory_knobs = ""
-        if config.sweep_every or config.arena:
-            memory_knobs = f", sweep_every={config.sweep_every}, arena={config.arena}"
         print(
             f"serving on {server.host}:{server.port} "
             f"(backend={backend}, policy={config.policy}, "
-            f"admission_max={config.admission_max}{memory_knobs})",
+            f"admission_max={config.admission_max}"
+            f"{', arena=True' if config.arena else ''})",
             flush=True,
         )
         loop = asyncio.get_running_loop()

@@ -15,13 +15,15 @@ decoded nodes are ordinary interned expressions).  It never leaves the
 process; what does is the one expression encoding,
 :mod:`repro.storage.exprjson`'s shared node table.
 
-The arena keeps only *weak* caches of the ``Expr`` <-> node-id mapping:
-repeated encodes/decodes of live structure are O(1) (the at-rest store
-round-trips every slot on each batch flush, so without the caches that
-would be quadratic in history), but the caches never pin a node — once
-the last strong reference outside the cache is gone the entry evaporates
-and the reclaimable-interning sweep can collect the node.  Identity of
-repeated decodes is guaranteed by interning itself.
+Two caches make repeated encodes/decodes O(1) (the at-rest store
+round-trips every slot on each batch flush, so without them that would be
+quadratic in history).  The encode cache (``Expr -> nid``) is weak.  The
+decode cache (``nid -> Expr``) holds what :meth:`ExprArena.get_expr`
+built strongly, so a decoded DAG — and the rewrite memos living on its
+nodes — survives until the next flush decodes it again; the cache goes
+with the arena, which compaction replaces.  Encoding pins nothing, so a
+freshly repacked arena holds no ``Expr`` at all.  Identity of repeated
+decodes is guaranteed by interning itself.
 """
 
 from __future__ import annotations
@@ -103,11 +105,11 @@ class ExprArena:
         self._name_ids: dict[str, int] = {}
         self._index: dict[int, int] = {}
         self._sum_index: dict[tuple[int, ...], int] = {}
-        # Weak acceleration caches (see module docstring): object identity
-        # keys (Expr __eq__ is identity) and weak values, so neither side
-        # ever pins an expression in the intern table.
+        # Acceleration caches (see module docstring): object identity keys
+        # (Expr __eq__ is identity), weak for encoding, strong for what
+        # get_expr decoded.
         self._to_nid: "weakref.WeakKeyDictionary[Expr, int]" = weakref.WeakKeyDictionary()
-        self._from_nid: "weakref.WeakValueDictionary[int, Expr]" = weakref.WeakValueDictionary()
+        self._from_nid: dict[int, Expr] = {}
 
     def __len__(self) -> int:
         return len(self._kind)
@@ -158,6 +160,8 @@ class ExprArena:
         cached = self._to_nid.get(expr)
         if cached is not None:
             return cached
+        # Keyed by id: ``expr`` pins its whole DAG for the call, so no id
+        # here can be reused by another node while the memo is in use.
         memo: dict[int, int] = {}
         stack: list[tuple[Expr, bool]] = [(expr, False)]
         while stack:
@@ -193,7 +197,6 @@ class ExprArena:
                 nid = self._cons(code, memo[id(left)], memo[id(right)])
             memo[id(node)] = nid
             self._to_nid[node] = nid
-            self._from_nid[nid] = node
         return memo[id(expr)]
 
     # -- decoding --------------------------------------------------------------

@@ -38,7 +38,7 @@ from .expr import (
     times_m,
     variables,
 )
-from .memo import ExprMemo, memoization_enabled
+from .memo import CallMemo, ExprMemo, memoization_enabled
 from .normalize import normalize_expr
 
 __all__ = [
@@ -110,8 +110,8 @@ def canonical(expr: Expr, fold_self_update: bool = True, *, memo: bool | None = 
         table = _CANONICAL_MEMOS[bool(fold_self_update)]
         keys = _KEY_MEMO
     else:
-        table = ExprMemo("canonical:local", register=False)
-        keys = ExprMemo("canonical:key:local", register=False)
+        table = CallMemo("canonical:local")
+        keys = CallMemo("canonical:key:local")
     # The key table is written through _key(), outside pending_postorder's
     # own sync — bring it to the current generation once, up front.
     keys.sync()

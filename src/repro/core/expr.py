@@ -17,7 +17,10 @@ operation   meaning                                      constructor
 
 Expressions are *immutable* and *hash-consed*: building the same expression
 twice returns the same object, so structural equality is identity equality
-and common sub-expressions are shared.  Sharing is essential: the naive
+and common sub-expressions are shared.  The intern table holds its nodes
+*weakly*: a node lives exactly as long as something outside the table (an
+annotation slot, a snapshot, a parent node, a caller) holds it, so memory
+follows the live provenance.  Sharing is essential: the naive
 provenance construction of Section 5.1 produces expressions whose *expanded*
 size is exponential in the transaction length (Proposition 5.1) while their
 DAG size stays small; hash-consing lets us faithfully *measure* the expanded
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
@@ -73,12 +75,6 @@ __all__ = [
     "intern_table_size",
     "intern_generation",
     "clear_intern_table",
-    "SweepReport",
-    "register_expr_roots",
-    "set_intern_gc",
-    "intern_gc_enabled",
-    "sweep_intern_table",
-    "intern_sweep_stats",
 ]
 
 # Node kinds.  Plain strings keep reprs and debugging friendly.
@@ -107,17 +103,19 @@ class Expr:
             any number for ``SUM``, empty for leaves).
     """
 
-    # __weakref__ lets non-pinning caches (the arena's encode/decode maps)
-    # key or value expressions without keeping them alive past a sweep.
-    __slots__ = ("kind", "name", "children", "_hash", "_size", "_depth", "__weakref__")
+    # __weakref__ is what the intern table (and the arena's encode/decode
+    # caches) hold, so none of them keeps a node alive.  ``_memo`` carries
+    # the node's rewrite-memo values (see repro.core.memo): they die with it.
+    __slots__ = ("kind", "name", "children", "_hash", "_size", "_depth", "_memo", "__weakref__")
 
     def __init__(self, kind: str, name: str | None, children: tuple["Expr", ...]):
         self.kind = kind
         self.name = name
         self.children = children
-        self._hash = hash((kind, name, tuple(id(c) for c in children)))
+        self._hash = hash((kind, name, *map(id, children)))
         self._size: int | None = None
         self._depth: int | None = None
+        self._memo: dict | None = None
 
     # Identity semantics: interning guarantees structural equality iff
     # object identity, so the default object equality is correct and fast.
@@ -178,9 +176,21 @@ class Expr:
 # Interning
 # ---------------------------------------------------------------------------
 
-# Keys hold strong references to child nodes so ids stay valid for the whole
-# lifetime of the table.
-_INTERN: dict[object, Expr] = {}
+# ``(kind, name or child ids...) -> weakref(node)``.  Keys hold no strong
+# child references: a live node holds its children, so the ids in a live
+# entry name exactly those children.  A dead entry's ids may since have been
+# reused, but a dead entry never answers a lookup — it counts as a miss and
+# is replaced (or purged in bulk).
+_INTERN: dict[tuple, "weakref.ref[Expr]"] = {}
+
+# Serializes replacing a dead entry (the lock-free setdefault path only
+# inserts absent keys) and bulk purging, so two threads never install two
+# nodes for one shape.
+_INTERN_LOCK = threading.Lock()
+
+# Purge dead entries in bulk once the table has doubled since the last purge.
+_PURGE_FLOOR = 4096
+_purge_at = _PURGE_FLOOR
 
 # Bumped by clear_intern_table().  Identity-keyed caches over interned nodes
 # (see repro.core.memo) remember the generation they were filled at and drop
@@ -191,205 +201,57 @@ _GENERATION = 0
 
 
 def _intern(kind: str, name: str | None, children: tuple[Expr, ...]) -> Expr:
-    # The miss path goes through dict.setdefault: key comparison is pure
-    # C-level (ints, strs, identity-compared Exprs), so the insert-if-absent
-    # is atomic under the GIL and two threads interning the same shape both
-    # receive the single table entry.  A plain check-then-insert could let
-    # each thread escape with its own node, silently breaking the
-    # structural-equality-iff-identity invariant for the process (the
-    # provenance server runs its writer in a thread beside client decoders).
-    key = (kind, name, tuple(id(c) for c in children), children)
-    node = _INTERN.get(key)
-    if node is None:
-        candidate = Expr(kind, name, children)
-        if _GC_ACTIVE:
-            # Nursery entry BEFORE the table insert: any node a sweep can
-            # see in its table snapshot is therefore already protected by
-            # the nursery (or reachable from a root), closing the window
-            # where a freshly interned but not-yet-rooted node could be
-            # swept out from under the thread that just built it.
-            _NURSERY.append(candidate)
-        node = _INTERN.setdefault(key, candidate)
-    return node
+    key = (kind, name, *map(id, children))
+    ref = _INTERN.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = Expr(kind, name, children)
+    if ref is None:
+        # The common miss is lock-free: dict.setdefault on a key of strs and
+        # ints is atomic under the GIL, so two threads interning the same
+        # new shape both receive the single entry.  A plain check-then-insert
+        # could let each escape with its own node, silently breaking
+        # structural-equality-iff-identity (the provenance server runs its
+        # writer in a thread beside client decoders).
+        winner = _INTERN.setdefault(key, weakref.ref(node))()
+        if winner is node:
+            if len(_INTERN) >= _purge_at:
+                _purge()
+            return node
+        if winner is not None:
+            return winner
+    # The entry is dead.  Replacing it is a check-then-set, so it runs under
+    # the lock that every other replacement (and the purge) takes.
+    with _INTERN_LOCK:
+        ref = _INTERN.get(key)
+        winner = ref() if ref is not None else None
+        if winner is None:
+            _INTERN[key] = weakref.ref(node)
+            return node
+        return winner
 
 
-# ---------------------------------------------------------------------------
-# Reclaimable interning (epoch sweep at quiescent points)
-# ---------------------------------------------------------------------------
+def _purge() -> None:
+    """Delete every dead entry, then re-arm for when the table doubles.
 
-# Nursery: every node created since the last sweep, regardless of whether it
-# won its setdefault race.  The sweep retires the nursery and treats its
-# contents as roots for that one sweep; losers (duplicates that lost the
-# setdefault race) are simply dropped with it.  Only populated while the GC
-# is active so the default grow-only behaviour pays nothing.
-_NURSERY: list[Expr] = []
-_GC_ACTIVE = False
-
-# Live-annotation providers (stores, published snapshots).  Weakly held so a
-# discarded engine or snapshot stops pinning its expressions automatically.
-_ROOT_PROVIDERS: "weakref.WeakSet" = weakref.WeakSet()
-
-_SWEEP_LOCK = threading.Lock()
-_SWEEPS = 0
-_SWEPT_TOTAL = 0
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Outcome of one :func:`sweep_intern_table` call."""
-
-    before: int
-    after: int
-    swept: int
-    memo_entries_dropped: int
-    nursery_retired: int
-
-    def as_dict(self) -> dict:
-        return {
-            "before": self.before,
-            "after": self.after,
-            "swept": self.swept,
-            "memo_entries_dropped": self.memo_entries_dropped,
-            "nursery_retired": self.nursery_retired,
-        }
-
-
-def register_expr_roots(provider) -> None:
-    """Register a live-expression root provider for the intern-table sweep.
-
-    ``provider`` must expose ``expr_roots()`` yielding the objects that hold
-    its expressions: :class:`Expr` nodes, or containers/annotation objects
-    exposing ``expr_refs()`` (e.g. normal forms).  Held weakly — dropping
-    the provider unregisters it.
+    Scans a snapshot without the lock and deletes under it, re-checking
+    each entry: a replacement installed meanwhile is live and stays.
     """
-    _ROOT_PROVIDERS.add(provider)
-
-
-def set_intern_gc(enabled: bool) -> bool:
-    """Enable/disable reclaimable interning; returns the previous setting.
-
-    Must be switched on *before* threads that intern concurrently with
-    sweeps start (the nursery protection only covers nodes created while
-    active).  Disabling empties the nursery.
-    """
-    global _GC_ACTIVE
-    previous = _GC_ACTIVE
-    _GC_ACTIVE = bool(enabled)
-    if not _GC_ACTIVE:
-        del _NURSERY[:]
-    return previous
-
-
-def intern_gc_enabled() -> bool:
-    """True while the nursery (and therefore sweeping) is active."""
-    return _GC_ACTIVE
-
-
-def _mark_from(objects, marked: set[int]) -> None:
-    """Mark every :class:`Expr` reachable from ``objects`` into ``marked``.
-
-    Follows ``children`` on expressions, ``expr_refs()`` on annotation
-    objects that embed expressions (normal forms, contributions), and
-    descends into plain tuples/lists/sets so memo values of any shipped
-    shape are traversed.  Iterative — provenance chains exceed the
-    recursion limit.
-    """
-    stack = list(objects)
-    while stack:
-        obj = stack.pop()
-        if obj is None:
-            continue
-        if isinstance(obj, Expr):
-            if id(obj) in marked:
-                continue
-            marked.add(id(obj))
-            stack.extend(obj.children)
-        elif isinstance(obj, (tuple, list, set, frozenset)):
-            stack.extend(obj)
-        else:
-            refs = getattr(obj, "expr_refs", None)
-            if refs is not None:
-                stack.extend(refs())
-
-
-def sweep_intern_table() -> SweepReport:
-    """Drop interned nodes unreachable from the registered roots.
-
-    Mark-and-sweep over the intern table, intended for the quiescent
-    points a single writer already owns (between admitted batches, between
-    benchmark rounds).  The root set is: every registered provider's
-    ``expr_roots()``, the nursery (all nodes created since the previous
-    sweep), and ``ZERO``.  Memo tables are pruned alongside: entries whose
-    key survives are kept and their cached values marked live (so a memo
-    hit can never resurface a swept node); entries whose key is doomed are
-    dropped — discarding cache entries is always sound.
-
-    Survivors keep their identity — the interning generation does *not*
-    move, so structural-equality-iff-identity holds across a sweep for
-    every reachable expression.  Concurrent interning of new shapes is
-    safe (nursery + in-place ``pop``: the table dict is never replaced);
-    what the quiescent-point contract excludes is concurrently *reviving*
-    an old shape reachable from no root mid-sweep.
-    """
-    global _NURSERY, _SWEEPS, _SWEPT_TOTAL
-    with _SWEEP_LOCK:
-        retired = _NURSERY
-        _NURSERY = []
-        table_snapshot = list(_INTERN.items())
-        before = len(table_snapshot)
-        marked: set[int] = {id(ZERO)}
-        _mark_from(retired, marked)
-        _mark_from(list(_NURSERY), marked)
-        for provider in list(_ROOT_PROVIDERS):
-            _mark_from(provider.expr_roots(), marked)
-        from .memo import _REGISTRY as _memo_registry  # circular at module load
-
-        memo_dropped = 0
-        for memo in _memo_registry:
-            table = memo._table
-            if not table:
-                continue
-            kept: dict[int, tuple[Expr, object]] = {}
-            kept_values: list[object] = []
-            for key, entry in table.items():
-                if id(entry[0]) in marked:
-                    kept[key] = entry
-                    kept_values.append(entry[1])
-                else:
-                    memo_dropped += 1
-            if len(kept) != len(table):
-                memo._table = kept
-            _mark_from(kept_values, marked)
-        swept = 0
-        for key, node in table_snapshot:
-            if id(node) not in marked:
-                if _INTERN.pop(key, None) is not None:
-                    swept += 1
-        _SWEEPS += 1
-        _SWEPT_TOTAL += swept
-        return SweepReport(
-            before=before,
-            after=len(_INTERN),
-            swept=swept,
-            memo_entries_dropped=memo_dropped,
-            nursery_retired=len(retired),
-        )
-
-
-def intern_sweep_stats() -> dict:
-    """Cumulative sweep counters (diagnostics / server ``stats`` op)."""
-    return {
-        "gc_active": _GC_ACTIVE,
-        "sweeps": _SWEEPS,
-        "swept_total": _SWEPT_TOTAL,
-        "nursery_size": len(_NURSERY),
-        "root_providers": len(_ROOT_PROVIDERS),
-    }
+    global _purge_at
+    dead = [key for key, ref in list(_INTERN.items()) if ref() is None]
+    with _INTERN_LOCK:
+        for key in dead:
+            ref = _INTERN.get(key)
+            if ref is not None and ref() is None:
+                del _INTERN[key]
+        _purge_at = max(_PURGE_FLOOR, 2 * len(_INTERN))
 
 
 def intern_table_size() -> int:
     """Number of distinct live expression nodes (diagnostics / benches)."""
-    return len(_INTERN)
+    return sum(1 for ref in list(_INTERN.values()) if ref() is not None)
 
 
 def intern_generation() -> int:
@@ -398,25 +260,28 @@ def intern_generation() -> int:
 
 
 def clear_intern_table() -> None:
-    """Drop all interned nodes except ``ZERO``.
+    """Forget every interned node except ``ZERO``.
 
-    Only intended for long benchmark processes; expressions created before
-    the call remain valid but will no longer compare identical to
-    structurally equal expressions created after it.  Tests never need this.
+    Severs identity: expressions created before the call remain valid but
+    no longer compare identical to structurally equal expressions created
+    after it.  Nothing needs this to release memory (dropped nodes die on
+    their own); it exists to exercise the generation contract in isolated
+    test processes.
 
     Bumps the interning generation, which invalidates every
     :class:`repro.core.memo.ExprMemo` on its next use.
     """
-    global _GENERATION
-    _GENERATION += 1
-    _INTERN.clear()
-    del _NURSERY[:]
-    _INTERN[(ZERO_KIND, None, (), ())] = ZERO
+    global _GENERATION, _purge_at
+    with _INTERN_LOCK:
+        _GENERATION += 1
+        _INTERN.clear()
+        _INTERN[(ZERO_KIND, None)] = weakref.ref(ZERO)
+        _purge_at = _PURGE_FLOOR
 
 
 #: The special element ``0`` (absent tuple / update that did not happen).
 ZERO: Expr = Expr(ZERO_KIND, None, ())
-_INTERN[(ZERO_KIND, None, (), ())] = ZERO
+_INTERN[(ZERO_KIND, None)] = weakref.ref(ZERO)
 
 
 def var(name: str) -> Expr:
@@ -547,11 +412,14 @@ def dag_size(exprs: Iterable[Expr]) -> int:
     """Distinct nodes across all of ``exprs``: the *stored* provenance size.
 
     One shared visited set, so a sub-DAG several expressions reference is
-    neither re-counted nor re-traversed.
+    neither re-counted nor re-traversed.  The roots are held for the whole
+    call: ``exprs`` may yield transient nodes (``to_expr()`` results), and
+    a visited id must not be reused by a node built after its owner died.
     """
+    roots = list(exprs)
     seen: set[int] = set()
     stack: list[Expr] = []
-    for root in exprs:
+    for root in roots:
         if id(root) not in seen:
             stack.append(root)
         while stack:

@@ -29,7 +29,7 @@ from .expr import (
     ssum,
     times_m,
 )
-from .memo import ExprMemo, memoization_enabled
+from .memo import CallMemo, ExprMemo, memoization_enabled
 
 __all__ = ["minimize", "is_minimized"]
 
@@ -45,7 +45,7 @@ def minimize(expr: Expr, *, memo: bool | None = None) -> Expr:
     :mod:`repro.core.memo`).
     """
     use_memo = memoization_enabled() if memo is None else memo
-    table = _MINIMIZE_MEMO if use_memo else ExprMemo("minimize:local", register=False)
+    table = _MINIMIZE_MEMO if use_memo else CallMemo("minimize:local")
     for node in table.pending_postorder(expr):
         kind = node.kind
         if kind in (VAR, ZERO_KIND):

@@ -75,10 +75,6 @@ class Contribution:
             self.inserted or other.inserted,
         )
 
-    def expr_refs(self) -> tuple[Expr, ...]:
-        """Embedded expressions (intern-sweep root traversal)."""
-        return self.sources
-
     @property
     def is_empty(self) -> bool:
         return not self.sources and not self.inserted
@@ -124,12 +120,6 @@ class NormalForm:
         self.base = base
         self.sources = sources
         self.p = p
-
-    def expr_refs(self) -> tuple[Expr, ...]:
-        """Embedded expressions (intern-sweep root traversal)."""
-        if self.p is None:
-            return (self.base,) + self.sources
-        return (self.base, self.p) + self.sources
 
     # -- construction -------------------------------------------------------
 

@@ -27,13 +27,16 @@ recursion limit (that is precisely Proposition 5.1's point).
 from __future__ import annotations
 
 from .expr import Expr, MINUS, PLUS_I, PLUS_M, SUM, TIMES_M, VAR, ZERO_KIND
-from .memo import ExprMemo, memoization_enabled
-from .normal_form import Contribution, NormalForm, merge_contributions
+from .memo import CallMemo, ExprMemo, memoization_enabled
+from .normal_form import Contribution, NormalForm, Shape, merge_contributions
 
 __all__ = ["normalize", "normalize_expr"]
 
-#: Persistent node -> NormalForm cache; see repro.core.memo for the
-#: invalidation contract.
+#: Persistent node -> normal form memo; see repro.core.memo for the
+#: invalidation contract.  An ``UNTOUCHED`` shape is stored as its bare
+#: base expression: leaves, sums and opaque nodes normalize to
+#: ``UNTOUCHED(node)``, and storing the node itself lets the memo keep it
+#: as a self-marker instead of a value that pins its own key.
 _NORMALIZE_MEMO = ExprMemo("normalize")
 
 
@@ -51,15 +54,22 @@ def normalize(expr: Expr, *, memo: bool | None = None) -> NormalForm:
     re-normalizing after an update only rewrites the new outer layers.
     """
     use_memo = memoization_enabled() if memo is None else memo
-    table = _NORMALIZE_MEMO if use_memo else ExprMemo("normalize:local", register=False)
+    table = _NORMALIZE_MEMO if use_memo else CallMemo("normalize:local")
     for node in table.pending_postorder(expr):
-        table[node] = _normalize_node(node, table)
-    return table[expr]  # type: ignore[return-value]
+        nf = _normalize_node(node, table)
+        table[node] = nf.base if nf.shape is Shape.UNTOUCHED else nf
+    return _cached(table, expr)
 
 
 def normalize_expr(expr: Expr, *, memo: bool | None = None) -> Expr:
     """Convenience wrapper returning the normalized expression itself."""
     return normalize(expr, memo=memo).to_expr()
+
+
+def _cached(memo: ExprMemo, node: Expr) -> NormalForm:
+    """The memoized normal form of ``node`` (an ``UNTOUCHED`` one rebuilt)."""
+    value = memo[node]
+    return NormalForm.untouched(value) if isinstance(value, Expr) else value  # type: ignore[return-value]
 
 
 def _normalize_node(node: Expr, memo: ExprMemo) -> NormalForm:
@@ -69,12 +79,12 @@ def _normalize_node(node: Expr, memo: ExprMemo) -> NormalForm:
     if kind == PLUS_I:
         base, p = node.children
         if p.is_var:
-            return memo[base].on_insert(p)
+            return _cached(memo, base).on_insert(p)
         return NormalForm.untouched(node)
     if kind == MINUS:
         base, p = node.children
         if p.is_var:
-            return memo[base].on_delete(p)
+            return _cached(memo, base).on_delete(p)
         return NormalForm.untouched(node)
     if kind == PLUS_M:
         base, rhs = node.children
@@ -84,7 +94,7 @@ def _normalize_node(node: Expr, memo: ExprMemo) -> NormalForm:
             contribution = merge_contributions(
                 _source_contribution(term, p, memo) for term in terms
             )
-            return memo[base].absorb(contribution, p)
+            return _cached(memo, base).absorb(contribution, p)
         return NormalForm.untouched(node)
     if kind == TIMES_M and node.children[1].is_var:
         # ``0 +M (s *M p)`` zero-folds to a bare ``s *M p``: a modification
@@ -100,5 +110,4 @@ def _normalize_node(node: Expr, memo: ExprMemo) -> NormalForm:
 
 def _source_contribution(term: Expr, p: Expr, memo: ExprMemo) -> Contribution:
     """Contribution of one source term of a modification under ``p``."""
-    nf: NormalForm = memo[term]  # type: ignore[assignment]
-    return nf.contribution(p)
+    return _cached(memo, term).contribution(p)

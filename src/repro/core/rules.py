@@ -41,7 +41,7 @@ from .expr import (
     ssum,
     times_m,
 )
-from .memo import ExprMemo, memoization_enabled
+from .memo import CallMemo, ExprMemo, memoization_enabled
 from .normal_form import NormalForm, Shape
 
 __all__ = [
@@ -273,7 +273,7 @@ def normalize_with_rules(expr: Expr, *, memo: bool | None = None) -> Expr:
     :mod:`repro.core.memo`).
     """
     use_memo = memoization_enabled() if memo is None else memo
-    table = _RULES_MEMO if use_memo else ExprMemo("rules:local", register=False)
+    table = _RULES_MEMO if use_memo else CallMemo("rules:local")
     for node in table.pending_postorder(expr):
         if not node.children:
             table[node] = node

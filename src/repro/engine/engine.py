@@ -447,7 +447,7 @@ class Engine:
         return (arena.node_count, arena.nbytes()) if arena is not None else (0, 0)
 
     def compact_arena(self) -> None:
-        """Repack the at-rest arena after a sweep (no-op in object mode)."""
+        """Repack the at-rest arena, dropping dead nodes (no-op in object mode)."""
         self.executor.store.compact_arena()
 
     def checkpoint(self) -> int:

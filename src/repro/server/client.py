@@ -95,6 +95,12 @@ class ServerClient:
         #: observed (a follower's version *is* its applied journal seq).
         self.last_seq: int | None = None
         self.last_version: int | None = None
+        #: The last decoded ``provenance`` reply per relation and the last
+        #: decoded ``state``.  Interned nodes live only while held, so
+        #: holding the previous read keeps its nodes alive: re-reading
+        #: unchanged provenance then interns against them instead of
+        #: rebuilding every node.  Bounded by one reply per relation.
+        self._last_reads: dict[object, object] = {}
 
     # -- plumbing --------------------------------------------------------------
 
@@ -272,6 +278,7 @@ class ServerClient:
         like :meth:`repro.shard.engine.ShardedEngine.provenance`.
         """
         rows = decode_capture(self._call("provenance", relation=relation)["rows"])
+        self._last_reads[("provenance", relation)] = rows
         return [
             (row, ZERO if expr is None else expr, live)
             for row, (expr, live) in rows[relation].items()
@@ -279,7 +286,9 @@ class ServerClient:
 
     def state(self) -> dict[str, dict[tuple, tuple[Expr | None, bool]]]:
         """The full ``{relation: {row: (expression, live)}}`` snapshot."""
-        return decode_capture(self._call("state")["relations"])
+        state = decode_capture(self._call("state")["relations"])
+        self._last_reads["state"] = state
+        return state
 
     def raw_state(self) -> tuple[int, dict]:
         """The snapshot *without* decoding expressions: ``(version, payload)``.
@@ -322,7 +331,7 @@ class ServerClient:
     def stats(self) -> dict:
         """``{"engine": ..., "server": ..., "memory": ...}`` counter blocks.
 
-        ``memory`` (RSS, intern table size, sweep/arena counters) is empty
+        ``memory`` (RSS, live intern table size, arena counters) is empty
         when talking to a server predating the memory axis.
         """
         response = self._call("stats")

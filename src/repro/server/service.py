@@ -36,20 +36,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from ..core.expr import (
-    Expr,
-    intern_sweep_stats,
-    intern_table_size,
-    register_expr_roots,
-    set_intern_gc,
-    sweep_intern_table,
-)
+from ..core.expr import Expr, intern_table_size
 from ..db.database import Database
 from ..engine.engine import Engine
 from ..errors import EngineError, ServerError
 from ..queries.pattern import Pattern
 from ..queries.updates import Transaction, UpdateQuery
-from ..shard.codec import capture_engine, exprs_of
+from ..shard.codec import capture_engine
 from ..shard.engine import ShardedEngine
 from ..views import DeltaBuffer, StandingView, ViewRegistry
 from ..wal.checkpoint import DEFAULT_EVERY_RECORDS, CheckpointManager
@@ -78,10 +71,6 @@ class ServerConfig:
     #: Most apply admissions fused into one writer cycle; 1 = per-call
     #: dispatch (each request pays its own executor handoff).
     admission_max: int = 256
-    #: Writer cycles between intern-table sweeps; 0 = grow-only interning
-    #: (the historical behaviour).  Sweeps run on the writer thread at the
-    #: end of a cycle — a quiescent point by construction.
-    sweep_every: int = 0
     #: Keep annotations arena-encoded at rest (plain backend only).
     arena: bool = False
     #: Most frames a subscribed connection may have queued for it before
@@ -129,12 +118,6 @@ def build_engine(database: Database | None, config: ServerConfig):
     """
     if config.arena and config.backend != "plain":
         raise ServerError("arena at-rest encoding is only supported by backend 'plain'")
-    if config.sweep_every and config.policy.startswith("mv_"):
-        raise ServerError(
-            f"--sweep-every is unsupported for policy {config.policy!r}: MV "
-            "annotations live outside the expression intern table, so a "
-            "sweep would reclaim nothing (drop the flag)"
-        )
     if config.backend == "plain":
         if database is None:
             raise ServerError("backend 'plain' needs an initial database")
@@ -171,7 +154,6 @@ def build_engine(database: Database | None, config: ServerConfig):
                 parallel=config.parallel_shards,
                 sync=config.sync,
                 checkpoint_every=config.checkpoint_every,
-                sweep_every=config.sweep_every,
             )
         if database is None:
             raise ServerError("backend 'sharded' needs an initial database")
@@ -184,7 +166,6 @@ def build_engine(database: Database | None, config: ServerConfig):
             journal_dir=config.directory,
             sync=config.sync,
             checkpoint_every=config.checkpoint_every,
-            sweep_every=config.sweep_every,
         )
     raise ServerError(
         f"unknown backend {config.backend!r} (known: plain, journaled, sharded)"
@@ -232,20 +213,8 @@ class ProvenanceService:
         self._queue: asyncio.Queue[_Admission] = asyncio.Queue()
         self._version = 0
         self._snapshot: Snapshot | None = None
-        self._last_sweep: dict | None = None
-        if self.config.sweep_every < 0:
-            raise ServerError("sweep_every must be >= 0")
-        if self.config.sweep_every:
-            # Before the writer thread (or any client decode) can intern:
-            # the nursery must cover every node created from here on.
-            # (Shard *workers* enable GC in their own processes — see
-            # ``shard.worker``; this switch governs the server process.)
-            set_intern_gc(True)
-            # The engine registers its own roots (the store for plain
-            # engines, the executor-tracking provider for JournaledEngine,
-            # the capture cache for ShardedEngine); the published snapshot
-            # is the other root set readers may still be holding.
-            register_expr_roots(self)
+        #: Arena nodes right after the last compaction (0 in object mode).
+        self._arena_compacted = engine.arena_size()[0]
         #: Standing views, maintained by the writer from drained deltas.
         self.views = ViewRegistry()
         self._delta_buffer: DeltaBuffer | None = None
@@ -376,19 +345,6 @@ class ProvenanceService:
         # shield: one cancelled reader must not cancel the shared capture.
         return await asyncio.shield(pending)
 
-    def expr_roots(self):
-        """Live-expression roots of the published snapshot (sweep root set).
-
-        Readers may still hold the last published snapshot, so its
-        expressions must survive a sweep even after the engine's own
-        store has moved past them.  Standing-view answer sets are rooted
-        for the same reason (they coincide with store expressions right
-        after a flush, but the invariant should not depend on that).
-        """
-        snapshot = self._snapshot
-        held = list(snapshot.state.values()) if snapshot is not None else []
-        return exprs_of(held + [view.rows for view in self.views.views()])
-
     def memory_stats(self) -> dict:
         """The ``memory`` block of the ``stats`` op."""
         from ..memory import current_rss_bytes, peak_rss_bytes
@@ -398,9 +354,6 @@ class ProvenanceService:
             "rss_bytes": current_rss_bytes(),
             "peak_rss_bytes": peak_rss_bytes(),
             "intern_table_size": intern_table_size(),
-            "sweep_every": self.config.sweep_every,
-            "sweep": intern_sweep_stats(),
-            "last_sweep": self._last_sweep,
             "arena_nodes": arena_nodes,
             "arena_bytes": arena_bytes,
         }
@@ -553,12 +506,13 @@ class ProvenanceService:
         # publishes snapshots: drain accumulated row deltas, advance the
         # standing views, and hand matched deltas to the push transport.
         self._flush_deltas()
-        every = self.config.sweep_every
-        if every and self.counters.writer_cycles % every == 0:
-            # End of cycle on the writer thread: no admission is in flight,
-            # so this is the quiescent point the sweep contract requires.
-            self._last_sweep = sweep_intern_table().as_dict()
+        # The at-rest arena is append-only; repack it from the live slots
+        # once it has doubled since the last repack (amortized O(1) per
+        # appended node).  No admission is in flight here.
+        arena_nodes = self.engine.arena_size()[0]
+        if arena_nodes and arena_nodes >= 2 * self._arena_compacted:
             self.engine.compact_arena()
+            self._arena_compacted = self.engine.arena_size()[0]
         return outcomes, False
 
     def _apply_group(self, group: list[_Admission], outcomes: list) -> None:

@@ -81,7 +81,7 @@ def decode_events(events: Iterable[tuple[str, object]]) -> list[tuple[str, objec
 
 def exprs_of(row_maps: Iterable[dict]) -> Iterator[Expr]:
     """Every expression held by some ``{row: (expression, live)}`` maps —
-    a sweep root set, or the input of a size measure (``None`` skipped)."""
+    the input of a size measure (``None`` skipped)."""
     for rows in row_maps:
         for expr, _live in rows.values():
             if expr is not None:

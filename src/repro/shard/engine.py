@@ -51,7 +51,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ..core.expr import Expr, ZERO, dag_size, register_expr_roots
+from ..core.expr import Expr, ZERO, dag_size
 from ..db.database import Database
 from ..engine.engine import Engine
 from ..engine.stats import EngineStats
@@ -310,7 +310,6 @@ class ShardedEngine:
         journal_dir: str | Path | None = None,
         sync: str = "flush",
         checkpoint_every: int = DEFAULT_EVERY_RECORDS,
-        sweep_every: int = 0,
         clock: Callable[[], float] = time.perf_counter,
         _resume=None,
     ):
@@ -320,7 +319,6 @@ class ShardedEngine:
                 f"(shardable: {', '.join(SHARDABLE_POLICIES)})"
             )
         self.policy = policy
-        self.sweep_every = sweep_every
         self._clock = clock
         # Logical coordinator counters restart on recovery; the additive
         # per-shard counters (matching work, planner decisions) continue
@@ -342,7 +340,7 @@ class ShardedEngine:
             if journal_dir is not None:
                 Path(journal_dir).mkdir(parents=True, exist_ok=True)
             self._backend = self._build_backend(
-                parts, journal_dir, sync, checkpoint_every, parallel, sweep_every
+                parts, journal_dir, sync, checkpoint_every, parallel
             )
             if journal_dir is not None:
                 # Written only after every shard directory initialized cleanly.
@@ -354,10 +352,6 @@ class ShardedEngine:
                     checkpoint_every=checkpoint_every,
                 )
         self.parallel = self._backend.parallel
-        # Coordinator-side sweep roots: sequential shard stores register
-        # themselves; the merged-capture cache is the extra root only the
-        # coordinator holds (readers may still be using it).
-        register_expr_roots(self)
 
     # -- construction helpers -------------------------------------------------
 
@@ -384,9 +378,7 @@ class ShardedEngine:
             names[name] = per_relation
         return names
 
-    def _build_backend(
-        self, parts, journal_dir, sync, checkpoint_every, parallel, sweep_every=0
-    ):
+    def _build_backend(self, parts, journal_dir, sync, checkpoint_every, parallel):
         names = self._tuple_vars
         if not parallel:
             shard_annotate = (
@@ -434,10 +426,6 @@ class ShardedEngine:
                     "sync": sync,
                     "checkpoint_every": checkpoint_every,
                 }
-            if sweep_every:
-                # Workers own their process-local intern tables; each
-                # sweeps on its own apply cadence (see shard.worker).
-                payload["sweep_every"] = sweep_every
             payloads.append(payload)
         return _ProcessShards(payloads)
 
@@ -542,16 +530,6 @@ class ShardedEngine:
                     merged[name].update(rows)
             self._capture_cache = merged
         return self._capture_cache
-
-    def expr_roots(self):
-        """Sweep roots only the coordinator holds: the merged-capture cache.
-
-        Sequential shard stores register themselves; the process-pool
-        workers sweep their own intern tables.  What neither covers is the
-        cached merged capture — decoded (re-interned) expressions readers
-        may still reference between an observation and the next apply.
-        """
-        return exprs_of((self._capture_cache or {}).values())
 
     def _relation_state(self, relation: str) -> dict[tuple, tuple[Expr | None, bool]]:
         merged = self._merged()

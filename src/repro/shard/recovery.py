@@ -117,7 +117,6 @@ def recover_sharded(
     parallel: bool = False,
     sync: str | None = None,
     checkpoint_every: int | None = None,
-    sweep_every: int = 0,
     clock: Callable[[], float] = time.perf_counter,
 ) -> ShardedEngine:
     """Resume the sharded deployment persisted in ``directory``.
@@ -152,7 +151,6 @@ def recover_sharded(
                         "sync": sync,
                         "checkpoint_every": checkpoint_every,
                     },
-                    **({"sweep_every": sweep_every} if sweep_every else {}),
                 }
                 for shard in range(shard_map.n_shards)
             ]
@@ -185,7 +183,6 @@ def recover_sharded(
     return ShardedEngine(
         None,
         policy=policy,
-        sweep_every=sweep_every,
         clock=clock,
         _resume=(shard_map, backend, tuple_vars, report),
     )

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import traceback
 
-from ..core.expr import set_intern_gc, sweep_intern_table
 from ..db.database import Database
 from ..db.schema import Relation, Schema
 from ..engine.engine import Engine
@@ -99,22 +98,13 @@ def shard_worker_main(conn, payload: dict, inherited=()) -> None:
     """
     for end in inherited:
         end.close()
-    sweep_every = int(payload.get("sweep_every") or 0)
     try:
-        if sweep_every:
-            # Before the engine interns anything: the worker is its own
-            # process with its own intern table, so reclaimable interning
-            # must be switched on here, not at the coordinator.  The
-            # engine's annotation store registers itself as the sweep
-            # root provider on construction.
-            set_intern_gc(True)
         engine = _build_engine(payload)
         conn.send(("ok", _engine_payload(engine)))
     except BaseException as exc:  # noqa: BLE001 - shipped to the coordinator
         conn.send(("error", _error_body(exc)))
         conn.close()
         return
-    applies = 0
     while True:
         try:
             command, body = conn.recv()
@@ -127,12 +117,6 @@ def shard_worker_main(conn, payload: dict, inherited=()) -> None:
                     engine.apply_batch(items)
                 else:
                     engine.apply(items)
-                applies += 1
-                if sweep_every and applies % sweep_every == 0:
-                    # Between commands the worker is quiescent — the only
-                    # thread that interns here is this one, and it is not
-                    # mid-apply — so the sweep contract holds per worker.
-                    sweep_intern_table()
                 conn.send(("ok", {"stats": engine.stats.snapshot()}))
             elif command == "capture":
                 conn.send(

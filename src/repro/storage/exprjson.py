@@ -65,12 +65,15 @@ def exprs_to_arena(exprs: Iterable[Expr | None]) -> tuple[dict, list[int | None]
 
     Returns ``({"nodes": [...]}, roots)`` with ``roots[i]`` the table
     index of the ``i``-th expression; ``None`` entries pass through as
-    ``None``.  Each distinct node is visited once across all roots.
+    ``None``.  Each distinct node is visited once across all roots.  The
+    roots are held for the whole call, so no id in ``index`` can be reused
+    by a node built after a transient root died.
     """
+    held = list(exprs)
     index: dict[int, int] = {}
     nodes: list[list] = []
     roots: list[int | None] = []
-    for expr in exprs:
+    for expr in held:
         if expr is None:
             roots.append(None)
             continue

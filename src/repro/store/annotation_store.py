@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..core.arena import ExprArena
-from ..core.expr import register_expr_roots
 from ..db.schema import Relation, Schema
 from ..errors import EngineError
 from ..queries.pattern import Pattern
@@ -147,7 +146,7 @@ class RelationStore:
 class AnnotationStore:
     """Per-relation :class:`RelationStore` map with shared planner stats."""
 
-    __slots__ = ("schema", "stats", "arena", "_relations", "__weakref__")
+    __slots__ = ("schema", "stats", "arena", "_relations")
 
     def __init__(self, schema: Schema, use_indexes: bool = True, arena: ExprArena | None = None):
         self.schema = schema
@@ -157,30 +156,13 @@ class AnnotationStore:
             relation.name: RelationStore(relation, self.stats, use_indexes, arena=arena)
             for relation in schema
         }
-        # Live annotations are intern-sweep roots; weakly registered, so a
-        # discarded store stops pinning its expressions automatically.
-        register_expr_roots(self)
-
-    def expr_roots(self):
-        """Raw annotation slots of every support row (sweep root set).
-
-        Yields whatever the slots hold: expressions and normal forms in
-        object mode (the sweep traverses them), arena node ids in arena
-        mode (ignored by the sweep — the arena is the at-rest form).
-        """
-        for store in self._relations.values():
-            rows = store.rows
-            for rid, _row in rows.items():
-                ann = rows.raw_annotation(rid)
-                if ann is not None:
-                    yield ann
 
     def compact_arena(self) -> tuple[int, int] | None:
         """Repack the shared arena, dropping dead nodes; ``None`` if object mode.
 
         Returns ``(nodes before, nodes after)``.  Only invoked at quiescent
-        points (the same contract as the intern-table sweep): row slots are
-        rewritten in place to ids in a fresh arena.
+        points (between writer cycles): row slots are rewritten in place to
+        ids in a fresh arena.
         """
         old = self.arena
         if old is None:

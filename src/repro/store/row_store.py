@@ -144,15 +144,6 @@ class RowStore:
             return self._arena.get_expr(ann)
         return ann
 
-    def raw_annotation(self, rid: int) -> object:
-        """The slot value as stored (arena node id in arena mode).
-
-        The intern-table sweep reads roots through this: in object mode it
-        sees the expressions to mark, in arena mode it sees ints — the
-        arena itself is the at-rest form, so there is nothing to pin.
-        """
-        return self._ann[rid]
-
     def is_live(self, rid: int) -> bool:
         return self._live[rid]
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable
 
-from ..core.expr import register_expr_roots
 from ..db.database import Database
 from ..engine.engine import Engine
 from ..errors import EngineError, ReproError, StorageError
@@ -103,15 +102,6 @@ class JournaledEngine(Engine):
                 # Append the missing abort now so future recoveries skip
                 # the record without re-applying.
                 self.journal.append_abort()
-        # Sweep roots through the *currently attached* executor: the store
-        # registers itself too, but this registration survives executor
-        # swaps (recovery replaces the throwaway baseline executor above),
-        # making the journaled backend explicitly sweep-safe.
-        register_expr_roots(self)
-
-    def expr_roots(self):
-        """Live-expression roots: the attached executor's raw store slots."""
-        yield from self.executor.store.expr_roots()
 
     # -- replay (recovery only) ---------------------------------------------
 

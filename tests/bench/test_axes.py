@@ -20,14 +20,16 @@ first test of ``test_memory.py``) now live:
   policy; recovery 2.0x -> journal records replayed; shard 1.5x ->
   normalize-memo lookups; server 1.5x -> writer cycles; view 2.0x -> rows
   decoded; replication (already counted: captures per read) -> captures
-  under one write stream; memory ``node_ratio >= 2`` -> interned nodes;
+  under one write stream; memory -> expression objects resident at rest,
+  with interned == reachable-from-the-resident-engine + 1 inside
+  ``consistent``;
 * ``hits > 0``, ``index_hits > 0``, ``checkpoints >= 2``,
   ``tail_records > 0``, ``routed_queries == queries`` (hence
   ``broadcast_queries == 0``), ``batched_max_admitted > 1``,
   ``batched_cycles < percall_cycles`` (now the server gate itself),
   ``push_batches == updates``, ``affected < watched < rows``,
   ``follower_reads > 0``, ``followers == 3``, ``primary_captures > 0``,
-  ``swept_total > 0``, ``peak_rss_bytes > 0``, JSON-serialisable ->
+  ``peak_rss_bytes > 0``, JSON-serialisable ->
   ``SHAPE`` and the row checks below;
 * the two ``batch_comparison`` tests (batched == sequential live rows for
   ``normal_form``/``normal_form_batch``/``none``, ``batches >= 1``) ->
@@ -74,7 +76,7 @@ SHAPE = {
     "replication": lambda row: row["follower reads"] > 0
     and row["followers"] == 3
     and row["baseline work"] > 0,
-    "memory": lambda row: row["swept"] > 0 and row["claimed peak rss"] > 0,
+    "memory": lambda row: row["reachable nodes"] > 1 and row["claimed peak rss"] > 0,
 }
 
 

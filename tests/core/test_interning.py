@@ -1,5 +1,8 @@
 """Hash-consing guarantees of the expression store."""
 
+import gc
+import weakref
+
 from repro.core.expr import (
     intern_table_size,
     minus,
@@ -18,12 +21,28 @@ def test_structural_equality_is_identity():
 
 
 def test_table_grows_only_for_new_structures():
-    base = intern_table_size()
-    x = plus_i(var("fresh_intern_x"), var("fresh_intern_p"))
-    grown = intern_table_size()
-    assert grown >= base + 3  # two vars + the node
-    _again = plus_i(var("fresh_intern_x"), var("fresh_intern_p"))
-    assert intern_table_size() == grown  # nothing new
+    # The table counts live nodes; keep the cyclic collector from retiring
+    # other tests' garbage between the reads.
+    gc.collect()
+    gc.disable()
+    try:
+        base = intern_table_size()
+        x = plus_i(var("fresh_intern_x"), var("fresh_intern_p"))
+        grown = intern_table_size()
+        assert grown == base + 3  # two vars + the node
+        _again = plus_i(var("fresh_intern_x"), var("fresh_intern_p"))
+        assert intern_table_size() == grown  # nothing new
+        del x, _again
+        assert intern_table_size() == base  # dropped nodes leave the table
+    finally:
+        gc.enable()
+
+
+def test_dropped_shape_is_rebuilt_as_a_fresh_live_node():
+    ref = weakref.ref(minus(var("mortal_a"), var("mortal_p")))
+    assert ref() is None  # nothing but the table referenced it
+    again = minus(var("mortal_a"), var("mortal_p"))
+    assert minus(var("mortal_a"), var("mortal_p")) is again
 
 
 def test_clear_semantics_in_isolated_process():
@@ -94,11 +113,11 @@ def test_concurrent_interning_yields_one_object_per_shape():
 
 
 def _run_isolated(script: str) -> None:
-    """Run a GC-enabled interning scenario in its own interpreter.
+    """Run an interning scenario that counts the table in its own interpreter.
 
-    Sweeping reclaims any unrooted expression, so a sweep in the shared
-    test process would eat other tests' interned nodes; every GC test
-    gets a fresh process instead.
+    ``intern_table_size()`` counts every live node in the process, so a
+    count taken in the shared test process would see other tests' nodes
+    come and go.
     """
     import subprocess
     import sys
@@ -116,88 +135,79 @@ def _run_isolated(script: str) -> None:
     assert completed.stdout.strip() == "ok"
 
 
-def test_gc_sweep_reclaims_garbage_and_preserves_rooted_identity():
-    """A sweep drops unrooted shapes but never a rooted node's identity.
+# Lock-step rounds: every thread has dropped its shapes, so all of them are
+# dead; all threads rebuild the same shapes at once, a storm of misses on
+# dead entries (the replacement path).  Half the threads drop their list as
+# soon as it is built, so entries also die while the others intern; the
+# holders then compare their lists pairwise.  A tiny switch interval forces
+# thread switches inside ``_intern``.
+_STRESS = """
+import sys, threading
+from repro.core.expr import intern_table_size, minus, plus_m, times_m, var
 
-    Nodes survive the sweep that sees them in the nursery (one full
-    generation), so reclamation needs two sweeps; rooted nodes must come
-    back ``is``-identical from a fresh intern of the same shape after any
-    number of sweeps.
+def shapes(n):
+    return [plus_m(minus(var(f"st_a{i}"), var(f"st_p{i}")),
+                   times_m(var(f"st_a{i}"), var(f"st_p{i}")))
+            for i in range(n)]
+
+n_threads, n_shapes, rounds = 8, 200, 25
+held = [None] * n_threads
+failures = []
+barrier = threading.Barrier(n_threads, timeout=60)
+
+def worker(k):
+    holds = k % 2 == 0
+    for _ in range(rounds):
+        barrier.wait()  # every list dropped: the shapes are dead
+        mine = shapes(n_shapes)
+        if holds:
+            held[k] = mine
+        del mine
+        barrier.wait()  # every holder holds its list
+        if holds:
+            for other in held:
+                if other is not None and any(a is not b for a, b in zip(held[k], other)):
+                    failures.append(k)
+        barrier.wait()
+        held[k] = None
+
+START = intern_table_size()
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=90)
+finally:
+    sys.setswitchinterval(interval)
+assert not any(thread.is_alive() for thread in threads)
+assert not failures, f"split shapes seen by holders {sorted(set(failures))}"
+"""
+
+
+def test_concurrent_interning_while_shapes_die_keeps_one_object_per_live_shape():
+    """Interning races node death without ever splitting a live shape.
+
+    Every pair of lists two holders hold at the same time must agree
+    element by element on identity, while droppers keep the same shapes
+    dying and being rebuilt around them.
     """
+    _run_isolated(_STRESS + "print('ok')\n")
+
+
+def test_table_returns_to_its_start_once_every_thread_drops_its_nodes():
+    """Counted: after the stress run, the live table is back where it began,
+    and churning many distinct dead shapes leaves the raw table bounded
+    (dead entries are purged in bulk as the table doubles)."""
     _run_isolated(
-        "from repro.core.expr import (intern_sweep_stats, intern_table_size,\n"
-        "    minus, plus_m, register_expr_roots, set_intern_gc,\n"
-        "    sweep_intern_table, var)\n"
-        "set_intern_gc(True)\n"
-        "rooted = plus_m(var('keep_a'), minus(var('keep_b'), var('keep_p')))\n"
-        "class Roots:\n"
-        "    def expr_roots(self):\n"
-        "        yield rooted\n"
-        "provider = Roots()\n"
-        "register_expr_roots(provider)\n"
-        "for i in range(400):\n"
-        "    plus_m(var(f'garbage_{i}'), var('keep_p'))\n"
-        "peak = intern_table_size()\n"
-        "sweep_intern_table()\n"
-        "sweep_intern_table()\n"
-        "after = intern_table_size()\n"
-        "assert after < peak - 300, (peak, after)\n"
-        "assert plus_m(var('keep_a'), minus(var('keep_b'), var('keep_p'))) is rooted\n"
-        "again = plus_m(var('garbage_7'), var('keep_p'))\n"
-        "assert plus_m(var('garbage_7'), var('keep_p')) is again\n"
-        "stats = intern_sweep_stats()\n"
-        "assert stats['gc_active'] and stats['sweeps'] >= 2\n"
-        "assert stats['swept_total'] >= 300\n"
-        "print('ok')\n"
-    )
-
-
-def test_gc_concurrent_interning_with_sweeps_keeps_identity():
-    """Sweeps racing concurrent intern misses never split a live shape.
-
-    Worker threads intern the same fresh shapes while a sweeper thread
-    runs full sweeps beside them; everything the workers hold is exposed
-    through a root provider.  The nursery (appended before the table's
-    ``setdefault``) keeps in-flight nodes alive through the sweep that
-    observes them, and rooted nodes stay pinned — so every thread must
-    end up holding the single canonical object per shape.
-    """
-    _run_isolated(
-        "import threading, time\n"
-        "from repro.core.expr import (minus, plus_m, register_expr_roots,\n"
-        "    set_intern_gc, sweep_intern_table, times_m, var)\n"
-        "set_intern_gc(True)\n"
-        "n_threads, n_shapes = 6, 200\n"
-        "results = [[] for _ in range(n_threads)]\n"
-        "class Roots:\n"
-        "    def expr_roots(self):\n"
-        "        for held in results:\n"
-        "            yield from list(held)\n"
-        "provider = Roots()\n"
-        "register_expr_roots(provider)\n"
-        "barrier = threading.Barrier(n_threads + 1)\n"
-        "stop = threading.Event()\n"
-        "def worker(k):\n"
-        "    barrier.wait()\n"
-        "    for i in range(n_shapes):\n"
-        "        results[k].append(plus_m(\n"
-        "            minus(var(f'gcrace_a{i}'), var(f'gcrace_p{i}')),\n"
-        "            times_m(var(f'gcrace_a{i}'), var(f'gcrace_p{i}'))))\n"
-        "def sweeper():\n"
-        "    barrier.wait()\n"
-        "    while not stop.is_set():\n"
-        "        sweep_intern_table()\n"
-        "        time.sleep(0.001)\n"
-        "threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]\n"
-        "sweep_thread = threading.Thread(target=sweeper)\n"
-        "for t in threads: t.start()\n"
-        "sweep_thread.start()\n"
-        "for t in threads: t.join(timeout=90)\n"
-        "stop.set()\n"
-        "sweep_thread.join(timeout=30)\n"
-        "for k in range(1, n_threads):\n"
-        "    assert len(results[k]) == n_shapes\n"
-        "    for left, right in zip(results[0], results[k]):\n"
-        "        assert left is right\n"
-        "print('ok')\n"
+        _STRESS
+        + "assert intern_table_size() == START, (intern_table_size(), START)\n"
+        + "from repro.core import expr as E\n"
+        + "for i in range(50_000):\n"
+        + "    minus(var(f'churn_{i}'), var('churn_p'))\n"
+        + "assert intern_table_size() == START\n"
+        + "assert len(E._INTERN) <= 4 * E._PURGE_FLOOR + 2 * START, len(E._INTERN)\n"
+        + "print('ok')\n"
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import pytest
 
@@ -172,6 +173,25 @@ def test_post_clear_results_use_post_clear_identities():
         assert result is again
         """
     )
+
+
+def test_memoized_nodes_still_die_after_del():
+    """A memo never keeps its key alive, not even through its own value.
+
+    The chain's normal form lives on its nodes; a leaf normalizes to
+    ``UNTOUCHED(leaf)`` and minimizes to itself — values holding their own
+    key, stored as a marker.  Dropping the last reference must free both
+    by reference counting alone (no cyclic collection).
+    """
+    chain = naive_chain(7, base="mortal_x")
+    leaf = E.var("mortal_leaf")
+    for rewrite in (normalize, normalize_with_rules, minimize, canonical):
+        rewrite(chain)
+        rewrite(leaf)
+    assert normalize(leaf) == normalize(leaf, memo=False)
+    refs = [weakref.ref(chain), weakref.ref(leaf)]
+    del chain, leaf
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_explicit_clear_memos_empties_tables():

@@ -101,6 +101,28 @@ def test_round_trip_bit_identical_across_policies(policy):
             assert_bit_identical(client.state(), direct)
 
 
+def test_arena_server_repacks_its_arena_once_it_doubles():
+    """The writer repacks the append-only at-rest arena at a cycle end once
+    it has doubled since the last repack, and the served state stays
+    bit-identical through the repacks."""
+    config = SyntheticConfig(
+        n_tuples=200, n_queries=240, n_groups=8, group_size=3,
+        queries_per_transaction=4, seed=7,
+    )
+    database, items = synthetic_database(config), list(synthetic_log(config).items)
+    direct = Engine(database, policy="normal_form_batch", arena=True)  # never repacked
+    with serve(database, policy="normal_form_batch", arena=True) as handle:
+        with ServerClient(handle.host, handle.port) as client:
+            sizes = [client.stats()["memory"]["arena_nodes"]]
+            for item in items:
+                client.apply(item)
+                direct.apply(item)
+                sizes.append(client.stats()["memory"]["arena_nodes"])
+            assert_bit_identical(client.state(), direct)
+    assert any(after < before for before, after in zip(sizes, sizes[1:])), sizes
+    assert sizes[-1] < direct.arena_size()[0]
+
+
 def test_provenance_reply_ships_each_distinct_node_once():
     """Counted: a ``provenance`` reply carries ``dag_size`` of the relation's
     annotations in nodes, not the sum of the per-row DAG sizes."""

@@ -69,6 +69,31 @@ class TestExprJson:
         assert len(table["nodes"]) == dag_size(exprs) == 6
         assert roots[2] == table["nodes"].index(["+I", 0, 1])
 
+    def test_transient_roots_are_held_for_the_whole_call(self):
+        """Under ``normal_form`` every row's expression is a fresh
+        ``to_expr()`` result that dies as soon as the consumer lets go, so a
+        generator of them may free a root before the next is built.  Walks
+        keyed by ``id`` must hold their roots, or a new node reuses a
+        visited id and the counts silently drop."""
+        from repro.workloads.synthetic import (
+            SyntheticConfig,
+            synthetic_database,
+            synthetic_log,
+        )
+
+        config = SyntheticConfig(n_tuples=200, n_queries=80, n_groups=5, group_size=4, seed=4)
+        engine = Engine(synthetic_database(config), policy="normal_form")
+        engine.apply(synthetic_log(config).as_single_transaction())
+
+        def fresh():
+            return (expr for _row, expr, _live in engine.provenance("synthetic"))
+
+        streamed_size = dag_size(fresh())
+        streamed_table = exprs_to_arena(fresh())
+        held = list(fresh())
+        assert streamed_size == dag_size(held) == engine.provenance_dag_size()
+        assert streamed_table == exprs_to_arena(held)
+
     def test_one_root_case_is_the_shared_table(self):
         table, (root,) = exprs_to_arena([SAMPLE])
         assert expr_to_dict(SAMPLE) == {**table, "root": root}
