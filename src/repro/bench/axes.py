@@ -847,7 +847,7 @@ def replication_axis(sizes, workdir: Path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# memory: object DAGs vs. arena encoding at rest
+# memory: interning follows live provenance
 # ---------------------------------------------------------------------------
 
 
@@ -866,16 +866,15 @@ def _memchild_run(config: dict) -> dict:
     )
     if completed.returncode != 0:
         raise RuntimeError(
-            f"memchild {config.get('mode')} failed "
-            f"(rc={completed.returncode}): {completed.stderr.strip()[-2000:]}"
+            f"memchild failed (rc={completed.returncode}): {completed.stderr.strip()[-2000:]}"
         )
     return json.loads(completed.stdout)
 
 
 @axis(
     "memory",
-    "Memory: object DAGs vs arena encoding at rest (interning follows live provenance)",
-    "expression objects resident at rest",
+    "Memory: interning follows live provenance",
+    "intern table nodes at rest",
     # memchild workload.  Multi-query transactions matter: normal_form_batch
     # flushes at transaction ends, so they also exercise the second garbage
     # source — naive within-transaction chains that the flush rewrites away.
@@ -887,37 +886,30 @@ def _memchild_run(config: dict) -> dict:
     ),
 )
 def memory_axis(workload, _workdir: Path) -> list[dict]:
-    """Run the epoch-churn workload of :mod:`repro.bench.memchild` per mode.
+    """Run the epoch-churn workload of :mod:`repro.bench.memchild` once.
 
-    One subprocess per mode: peak RSS is monotone over a process lifetime,
-    so two configurations measured in one process would both report the
-    larger one's peak.  Both modes run the identical seeded workload and
-    must fingerprint the same final annotated states — the arena is a
-    representation change, never a semantic one.  ``consistent`` also
-    requires, in each mode, that the intern table holds exactly the nodes
-    reachable from the resident engine plus ``ZERO`` once the epochs are
-    over: nothing a discarded engine built may outlive it.  The counted
-    claim is the expression objects resident at rest (the arena keeps the
-    same state as flat integer tables).  Peak RSS is reported beside it.
+    One subprocess, because peak RSS is monotone over a process lifetime
+    and the reported peak must be this workload's own.  ``consistent``
+    requires that, once the epochs are over, the intern table holds
+    exactly the nodes reachable from the resident engine plus ``ZERO``:
+    nothing a discarded engine built may outlive it.  The counted claim is
+    the intern table at rest; the baseline adds the nodes each dropped
+    epoch engine released, a lower bound on what a grow-only table would
+    still hold.  There is one run, so both time columns are its time and
+    the wall ratio is 1.  Peak RSS is reported beside it.
     """
-    objects, arena = (
-        _memchild_run({"mode": mode, "seed": 23, **workload}) for mode in ("objects", "arena")
-    )
-    consistent = objects["fingerprint"] == arena["fingerprint"] and all(
-        report["live_nodes"] == report["reachable_nodes"] for report in (objects, arena)
-    )
+    report = _memchild_run({"seed": 23, **workload})
+    at_rest = report["intern_table_size"]
     return [
         _row(
             {
-                "mode": "arena",
                 "epochs": workload["epochs"],
-                "reachable nodes": objects["reachable_nodes"],
-                "baseline peak rss": objects["peak_rss_bytes"],
-                "claimed peak rss": arena["peak_rss_bytes"],
-                "rss ratio": _ratio(objects["peak_rss_bytes"], arena["peak_rss_bytes"]),
+                "reachable nodes": report["reachable_nodes"],
+                "freed nodes": report["freed_nodes"],
+                "peak rss": report["peak_rss_bytes"],
             },
-            work=(objects["intern_table_size"], arena["intern_table_size"]),
-            seconds=(objects["elapsed_s"], arena["elapsed_s"]),
-            consistent=consistent,
+            work=(at_rest + report["freed_nodes"], at_rest),
+            seconds=(report["elapsed_s"], report["elapsed_s"]),
+            consistent=report["live_nodes"] == report["reachable_nodes"],
         )
     ]

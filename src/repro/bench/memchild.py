@@ -1,12 +1,11 @@
 """Subprocess child of the ``memory`` axis (:func:`repro.bench.axes.memory_axis`).
 
 Peak RSS (:func:`repro.memory.peak_rss_bytes`) is monotone over a process lifetime, so
-comparing the memory behaviour of two encoding configurations is only
-honest when each configuration runs in a *fresh* process.  The parent
-launches this module as ``python -m repro.bench.memchild`` once per mode
-with a JSON config on stdin (``mode``, ``seed`` and the workload sizes of
-the axis's table); the child runs a deterministic churn workload and
-reports a JSON measurement on stdout.
+the workload's peak is only its own in a *fresh* process.  The parent
+launches this module as ``python -m repro.bench.memchild`` with a JSON
+config on stdin (``seed`` and the workload sizes of the axis's table);
+the child runs a deterministic churn workload and reports a JSON
+measurement on stdout.
 
 The workload models a long-lived server process: one *resident* engine
 whose annotated state stays live, plus a sequence of workload *epochs* —
@@ -15,21 +14,17 @@ transactions, observed, and discarded, the way successive benchmark runs,
 decoded captures and retired snapshots come and go inside one process.
 Every epoch's expressions die with its engine, so after the epochs the
 intern table must hold exactly the nodes reachable from the resident
-state (plus ``ZERO``).  Epoch streams are pure functions of the seed, so
-the final fingerprints must be bit-identical across both modes.
+state (plus ``ZERO``).  The nodes each dropped engine releases are
+counted: their sum is what a grow-only intern table would still hold.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 import time
 
-__all__ = ["run_child", "MODES"]
-
-#: The measured modes: is the resident state arena-encoded at rest?
-MODES: dict[str, bool] = {"objects": False, "arena": True}
+__all__ = ["run_child"]
 
 
 def _churn_transactions(config: dict, epoch: int) -> "list":
@@ -69,7 +64,7 @@ def _churn_transactions(config: dict, epoch: int) -> "list":
     return items
 
 
-def _fresh_engine(config: dict, arena_on: bool):
+def _fresh_engine(config: dict):
     from ..db.database import Database
     from ..db.schema import Relation, Schema
     from ..engine.engine import Engine
@@ -80,7 +75,7 @@ def _fresh_engine(config: dict, arena_on: bool):
         "churn",
         [(rid, rid % config["groups"], rid % 7) for rid in range(config["rows"])],
     )
-    return Engine(database, policy="normal_form_batch", arena=arena_on)
+    return Engine(database, policy="normal_form_batch")
 
 
 def _observe(engine) -> None:
@@ -89,46 +84,37 @@ def _observe(engine) -> None:
         pass
 
 
-def _capture_blob(engine) -> bytes:
-    """The canonically serialized full annotated state."""
-    from ..shard.codec import capture_engine, encode_capture
-
-    encoded = encode_capture(capture_engine(engine))
-    return json.dumps(encoded, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def run_child(config: dict) -> dict:
-    """Run one mode's workload in this process and return its measurement."""
+    """Run the workload in this process and return its measurement."""
     import gc
 
     from ..core.expr import ZERO, dag_size, intern_table_size
     from ..memory import current_rss_bytes, peak_rss_bytes
 
-    if config["mode"] not in MODES:
-        raise ValueError(f"unknown memchild mode {config['mode']!r} (known: {', '.join(MODES)})")
-    arena_on = MODES[config["mode"]]
-
     # The resident engine: its annotated state is the only provenance that
     # outlives the epochs.  Epoch -1 seeds it with real history.
-    resident = _fresh_engine(config, arena_on)
+    resident = _fresh_engine(config)
     resident.apply(_churn_transactions(config, epoch=-1))
     _observe(resident)
 
     started = time.perf_counter()
     intern_peak = intern_table_size()
+    freed = 0
     samples = []
-    digest = hashlib.sha256(_capture_blob(resident))
     for epoch in range(config["epochs"]):
-        engine = _fresh_engine(config, arena_on)
+        engine = _fresh_engine(config)
         engine.apply(_churn_transactions(config, epoch))
         # Observation flushes the batch; the naive chains built during
         # each transaction are already garbage, the rest of the epoch's
         # expressions become garbage when `engine` is dropped below.
         _observe(engine)
-        if epoch == config["epochs"] - 1:
-            digest.update(_capture_blob(engine))
-        intern_peak = max(intern_peak, intern_table_size())
+        before = intern_table_size()
+        intern_peak = max(intern_peak, before)
+        # Engines may sit in reference cycles: collect, so the drop is
+        # counted in the epoch that caused it.
         del engine
+        gc.collect()
+        freed += before - intern_table_size()
         samples.append(
             {
                 "epoch": epoch,
@@ -138,34 +124,23 @@ def run_child(config: dict) -> dict:
         )
     elapsed = time.perf_counter() - started
 
-    digest.update(_capture_blob(resident))
-    # At rest: the arena's decode cache holds what flushes decoded until the
-    # arena is repacked (the server repacks once its arena has doubled), and
-    # engines may sit in reference cycles; release both before counting.
-    resident.compact_arena()
     gc.collect()
     at_rest = intern_table_size()
-    # Holding the resident annotations (decoded, in arena mode), the table
-    # must hold exactly their distinct nodes plus ZERO: nothing an epoch
-    # built may survive it.
+    # Holding the resident annotations, the table must hold exactly their
+    # distinct nodes plus ZERO: nothing an epoch built may survive it.
     held = [expr for _row, expr, _live in resident.provenance("churn")]
     reachable = dag_size([*held, ZERO])
     live = intern_table_size()
-    arena = resident.executor.store.arena
     return {
-        "mode": config["mode"],
-        "arena": arena_on,
         "epochs": config["epochs"],
         "transactions_per_epoch": config["transactions"],
-        "fingerprint": digest.hexdigest(),
         "peak_rss_bytes": peak_rss_bytes(),
         "end_rss_bytes": current_rss_bytes(),
         "intern_table_size": at_rest,
         "intern_table_peak": intern_peak,
+        "freed_nodes": freed,
         "live_nodes": live,
         "reachable_nodes": reachable,
-        "arena_nodes": arena.node_count if arena is not None else 0,
-        "arena_bytes": arena.nbytes() if arena is not None else 0,
         "samples": samples,
         "elapsed_s": elapsed,
     }

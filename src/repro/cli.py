@@ -190,12 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="most apply requests fused into one writer cycle (1 = per-call "
         "dispatch; default: 256)",
     )
-    serve.add_argument(
-        "--arena",
-        action="store_true",
-        help="hold annotations arena-encoded at rest (flat integer tables "
-        "instead of object DAGs; backend plain only)",
-    )
     serve.set_defaults(func=cmd_serve)
 
     client = sub.add_parser("client", help="talk to a running repro server")
@@ -729,7 +723,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sync=args.journal_sync,
         checkpoint_every=args.checkpoint_every,
         admission_max=args.admission_max,
-        arena=args.arena,
     )
 
     async def _run() -> int:
@@ -749,8 +742,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving on {server.host}:{server.port} "
             f"(backend={backend}, policy={config.policy}, "
-            f"admission_max={config.admission_max}"
-            f"{', arena=True' if config.arena else ''})",
+            f"admission_max={config.admission_max})",
             flush=True,
         )
         loop = asyncio.get_running_loop()

@@ -103,9 +103,9 @@ class Expr:
             any number for ``SUM``, empty for leaves).
     """
 
-    # __weakref__ is what the intern table (and the arena's encode/decode
-    # caches) hold, so none of them keeps a node alive.  ``_memo`` carries
-    # the node's rewrite-memo values (see repro.core.memo): they die with it.
+    # __weakref__ is what the intern table holds, so it keeps no node
+    # alive.  ``_memo`` carries the node's rewrite-memo values (see
+    # repro.core.memo): they die with it.
     __slots__ = ("kind", "name", "children", "_hash", "_size", "_depth", "_memo", "__weakref__")
 
     def __init__(self, kind: str, name: str | None, children: tuple["Expr", ...]):

@@ -7,6 +7,9 @@ evaluation reports.  Policies::
     none / no_provenance   vanilla set semantics (baseline)
     naive / no_axioms      Section 3.1 construction, no equivalence axioms
     normal_form            incremental Theorem 5.3 normal forms
+    normal_form_batch      Theorem 5.3 normal forms, rewritten once per
+                           flush (transaction end or observation); the
+                           served default
     mv_tree / mv_string    the MV-semiring baseline of [Arab et al. 2016]
 
 Example::
@@ -39,7 +42,7 @@ __all__ = ["Engine", "POLICIES", "make_executor"]
 
 
 def _mv_factory(kind: str):
-    def factory(database: Database, annotate=None, arena: bool = False) -> Executor:
+    def factory(database: Database, annotate=None) -> Executor:
         from ..mv.policy import MVExecutor  # lazy: keep engine importable alone
 
         return MVExecutor(database, representation=kind, annotate=annotate)
@@ -59,18 +62,10 @@ POLICIES: dict[str, Callable[..., Executor]] = {
 }
 
 
-#: Policies whose annotation slots hold plain expressions — the ones the
-#: integer-id arena can keep at rest.  ``normal_form`` stores NormalForm
-#: objects and the MV policies store version annotations; both keep the
-#: object representation.
-ARENA_POLICIES = ("naive", "no_axioms", "normal_form_batch", "none", "no_provenance")
-
-
 def make_executor(
     database: Database,
     policy: str,
     annotate: Callable[[str, tuple, int], str] | None = None,
-    arena: bool = False,
 ) -> Executor:
     """Instantiate the executor registered under ``policy``."""
     try:
@@ -79,14 +74,9 @@ def make_executor(
         raise EngineError(
             f"unknown policy {policy!r} (known: {', '.join(sorted(POLICIES))})"
         ) from None
-    if arena and policy not in ARENA_POLICIES:
-        raise EngineError(
-            f"policy {policy!r} does not support arena-encoded annotations "
-            f"(supported: {', '.join(ARENA_POLICIES)})"
-        )
     if factory is VanillaExecutor:
-        return VanillaExecutor(database, arena=arena)
-    return factory(database, annotate=annotate, arena=arena)
+        return VanillaExecutor(database)
+    return factory(database, annotate=annotate)
 
 
 class Engine:
@@ -99,10 +89,9 @@ class Engine:
         annotate: Callable[[str, tuple, int], str] | None = None,
         clock: Callable[[], float] = time.perf_counter,
         journal=None,
-        arena: bool = False,
     ):
         self.policy = policy
-        self.executor = make_executor(database, policy, annotate, arena=arena)
+        self.executor = make_executor(database, policy, annotate)
         self.stats = EngineStats()
         self._clock = clock
         #: Write-ahead journal hook (see ``repro.wal``).  Anything with
@@ -166,13 +155,15 @@ class Engine:
         """Apply a query sequence through the batched pipeline.
 
         Semantically identical to :meth:`apply` — same final states, same
-        provenance — but maximal runs of consecutive queries on one
-        relation are handed to the executor as single fused units
-        (:meth:`~repro.engine.executors.Executor.apply_batch`): one shared
-        selection index instead of a scan per query, and for the
-        ``normal_form_batch`` policy one normalization per flush instead of
-        rule application per update.  Runs never straddle a transaction
-        boundary, so per-transaction hooks fire exactly as under
+        provenance.  Maximal runs of consecutive queries on one relation
+        are handed to :meth:`~repro.engine.executors.Executor.apply_batch`
+        as one unit.  That call is a plain per-query loop: every query
+        already selects through the store's maintained indexes, and no
+        executor overrides it, so a run shares no selection work.  With a
+        journal attached, each query of a run is journaled before it is
+        applied, and the run ends with a batch-end record.  Runs never
+        straddle a transaction boundary, so per-transaction hooks (the
+        ``normal_form_batch`` flush among them) fire exactly as under
         :meth:`apply`.  Per-run timings land in ``stats`` as batch
         counters.
         """
@@ -440,15 +431,6 @@ class Engine:
     def tuple_vars(self) -> dict[str, dict[tuple, str]]:
         """Initial-tuple annotation names, ``{relation: {row: name}}``."""
         return getattr(self.executor, "_tuple_vars", {})
-
-    def arena_size(self) -> tuple[int, int]:
-        """``(nodes, bytes)`` of the at-rest arena; zeros in object mode."""
-        arena = self.executor.store.arena
-        return (arena.node_count, arena.nbytes()) if arena is not None else (0, 0)
-
-    def compact_arena(self) -> None:
-        """Repack the at-rest arena, dropping dead nodes (no-op in object mode)."""
-        self.executor.store.compact_arena()
 
     def checkpoint(self) -> int:
         """Write a durability checkpoint now; returns how many were written."""

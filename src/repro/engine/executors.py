@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from ..core.arena import ExprArena
 from ..core.expr import Expr, ZERO, dag_size, minus, plus_i, plus_m, ssum, times_m, var
 from ..core.normal_form import Contribution, NormalForm
 from ..core.normalize import normalize_expr
@@ -178,13 +177,9 @@ class StoreBackedExecutor(Executor):
     #: whether :meth:`_emit` produces a faithful row-delta stream.
     emits_deltas = True
 
-    def __init__(self, database: Database, use_indexes: bool = True, arena: bool = False):
+    def __init__(self, database: Database, use_indexes: bool = True):
         self.schema = database.schema
-        self.store = AnnotationStore(
-            database.schema,
-            use_indexes=use_indexes,
-            arena=ExprArena() if arena else None,
-        )
+        self.store = AnnotationStore(database.schema, use_indexes=use_indexes)
 
     def _relation_store(self, name: str) -> RelationStore:
         return self.store.relation(name)
@@ -256,8 +251,8 @@ class VanillaExecutor(StoreBackedExecutor):
     policy = "none"
     tracks_provenance = False
 
-    def __init__(self, database: Database, use_indexes: bool = True, arena: bool = False):
-        super().__init__(database, use_indexes, arena=arena)
+    def __init__(self, database: Database, use_indexes: bool = True):
+        super().__init__(database, use_indexes)
         for name in database.relations():
             store = self.store.relation(name)
             for row in database.rows(name):
@@ -316,9 +311,8 @@ class AnnotatedExecutor(StoreBackedExecutor):
         database: Database,
         annotate: Callable[[str, tuple, int], str] | None = None,
         use_indexes: bool = True,
-        arena: bool = False,
     ):
-        super().__init__(database, use_indexes, arena=arena)
+        super().__init__(database, use_indexes)
         self._tuple_vars: dict[str, dict[tuple, str]] = {}
         namer = annotate or (lambda rel, row, i: f"x{i}")
         counter = 0

@@ -17,8 +17,8 @@ to the target's slot) and whose liveness bit is "any version live".
 Selection therefore runs through the store's pattern planner instead of a
 whole-relation version scan, and multiversion reads share one maintenance
 path with the live-view machinery.  Because slots hold version lists, not
-``UP[X]`` expressions, the policy neither emits row deltas
-(:attr:`MVExecutor.emits_deltas`) nor supports the arena at-rest form.
+``UP[X]`` expressions, the policy emits no row deltas
+(:attr:`MVExecutor.emits_deltas`).
 """
 
 from __future__ import annotations

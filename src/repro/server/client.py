@@ -331,7 +331,7 @@ class ServerClient:
     def stats(self) -> dict:
         """``{"engine": ..., "server": ..., "memory": ...}`` counter blocks.
 
-        ``memory`` (RSS, live intern table size, arena counters) is empty
+        ``memory`` (current and peak RSS, live intern table size) is empty
         when talking to a server predating the memory axis.
         """
         response = self._call("stats")

@@ -71,8 +71,6 @@ class ServerConfig:
     #: Most apply admissions fused into one writer cycle; 1 = per-call
     #: dispatch (each request pays its own executor handoff).
     admission_max: int = 256
-    #: Keep annotations arena-encoded at rest (plain backend only).
-    arena: bool = False
     #: Most frames a subscribed connection may have queued for it before
     #: the server drops its subscriptions (slow-consumer policy: the
     #: client is told it lagged and must re-subscribe; see
@@ -116,12 +114,10 @@ def build_engine(database: Database | None, config: ServerConfig):
     ``shards.json`` manifest — so restarting ``repro serve DIR`` after a
     crash is itself the recovery procedure.
     """
-    if config.arena and config.backend != "plain":
-        raise ServerError("arena at-rest encoding is only supported by backend 'plain'")
     if config.backend == "plain":
         if database is None:
             raise ServerError("backend 'plain' needs an initial database")
-        return Engine(database, policy=config.policy, arena=config.arena)
+        return Engine(database, policy=config.policy)
     if config.backend == "journaled":
         if config.directory is None:
             raise ServerError("backend 'journaled' needs a durable directory")
@@ -213,8 +209,6 @@ class ProvenanceService:
         self._queue: asyncio.Queue[_Admission] = asyncio.Queue()
         self._version = 0
         self._snapshot: Snapshot | None = None
-        #: Arena nodes right after the last compaction (0 in object mode).
-        self._arena_compacted = engine.arena_size()[0]
         #: Standing views, maintained by the writer from drained deltas.
         self.views = ViewRegistry()
         self._delta_buffer: DeltaBuffer | None = None
@@ -349,13 +343,10 @@ class ProvenanceService:
         """The ``memory`` block of the ``stats`` op."""
         from ..memory import current_rss_bytes, peak_rss_bytes
 
-        arena_nodes, arena_bytes = self.engine.arena_size()
         return {
             "rss_bytes": current_rss_bytes(),
             "peak_rss_bytes": peak_rss_bytes(),
             "intern_table_size": intern_table_size(),
-            "arena_nodes": arena_nodes,
-            "arena_bytes": arena_bytes,
         }
 
     async def stats(self) -> dict:
@@ -506,13 +497,6 @@ class ProvenanceService:
         # publishes snapshots: drain accumulated row deltas, advance the
         # standing views, and hand matched deltas to the push transport.
         self._flush_deltas()
-        # The at-rest arena is append-only; repack it from the live slots
-        # once it has doubled since the last repack (amortized O(1) per
-        # appended node).  No admission is in flight here.
-        arena_nodes = self.engine.arena_size()[0]
-        if arena_nodes and arena_nodes >= 2 * self._arena_compacted:
-            self.engine.compact_arena()
-            self._arena_compacted = self.engine.arena_size()[0]
         return outcomes, False
 
     def _apply_group(self, group: list[_Admission], outcomes: list) -> None:

@@ -694,12 +694,6 @@ class ShardedEngine:
             rows.update(engine.match_rows(relation, pattern))
         return rows
 
-    def arena_size(self) -> tuple[int, int]:
-        return (0, 0)  # shard stores never keep the arena at-rest form
-
-    def compact_arena(self) -> None:
-        pass
-
     def checkpoint(self) -> int:
         """Coordinated checkpoint: every journaled shard snapshots now.
 

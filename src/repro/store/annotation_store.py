@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..core.arena import ExprArena
 from ..db.schema import Relation, Schema
 from ..errors import EngineError
 from ..queries.pattern import Pattern
@@ -61,10 +60,9 @@ class RelationStore:
         relation: Relation,
         stats: PlannerStats,
         use_indexes: bool = True,
-        arena: ExprArena | None = None,
     ):
         self.relation = relation
-        self.rows = RowStore(arena=arena)
+        self.rows = RowStore()
         self.indexes = tuple(ColumnIndex() for _ in range(relation.arity))
         self.use_indexes = use_indexes
         self._stats = stats
@@ -146,32 +144,15 @@ class RelationStore:
 class AnnotationStore:
     """Per-relation :class:`RelationStore` map with shared planner stats."""
 
-    __slots__ = ("schema", "stats", "arena", "_relations")
+    __slots__ = ("schema", "stats", "_relations")
 
-    def __init__(self, schema: Schema, use_indexes: bool = True, arena: ExprArena | None = None):
+    def __init__(self, schema: Schema, use_indexes: bool = True):
         self.schema = schema
         self.stats = PlannerStats()
-        self.arena = arena
         self._relations: dict[str, RelationStore] = {
-            relation.name: RelationStore(relation, self.stats, use_indexes, arena=arena)
+            relation.name: RelationStore(relation, self.stats, use_indexes)
             for relation in schema
         }
-
-    def compact_arena(self) -> tuple[int, int] | None:
-        """Repack the shared arena, dropping dead nodes; ``None`` if object mode.
-
-        Returns ``(nodes before, nodes after)``.  Only invoked at quiescent
-        points (between writer cycles): row slots are rewritten in place to
-        ids in a fresh arena.
-        """
-        old = self.arena
-        if old is None:
-            return None
-        fresh = ExprArena()
-        for store in self._relations.values():
-            store.rows.repack_arena(fresh)
-        self.arena = fresh
-        return (old.node_count, fresh.node_count)
 
     @property
     def use_indexes(self) -> bool:

@@ -25,54 +25,24 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..core.arena import ExprArena
-from ..core.expr import Expr
-
 __all__ = ["RowStore"]
 
 
 class RowStore:
     """Append-only slots: row value, annotation, liveness, per row id.
 
-    With an :class:`~repro.core.arena.ExprArena` attached, expression
-    annotations are kept *at rest* as integer arena node ids — the slot
-    list holds small ints instead of object DAGs — and are materialized
-    back into interned :class:`~repro.core.expr.Expr` objects lazily on
-    :meth:`annotation`.  Non-expression annotations (``None``, normal
-    forms) pass through unchanged.
+    Annotations are held as the objects the executor stored (``None``,
+    interned :class:`~repro.core.expr.Expr` DAGs, normal forms).
     """
 
-    __slots__ = ("_rows", "_ann", "_live", "_id_of", "_arena")
+    __slots__ = ("_rows", "_ann", "_live", "_id_of")
 
-    def __init__(self, arena: ExprArena | None = None):
+    def __init__(self):
         self._rows: list[tuple | None] = []
         self._ann: list[object] = []
         self._live: list[bool] = []
         #: row value -> row id, for rows currently in the support.
         self._id_of: dict[tuple, int] = {}
-        self._arena = arena
-
-    @property
-    def arena(self) -> ExprArena | None:
-        return self._arena
-
-    def repack_arena(self, fresh: ExprArena) -> None:
-        """Re-encode every encoded slot into ``fresh`` and switch to it.
-
-        Arena compaction: the old arena is append-only, so churn leaves
-        dead nodes behind; repacking copies only the still-referenced DAGs.
-        """
-        old = self._arena
-        if old is not None:
-            for rid, ann in enumerate(self._ann):
-                if isinstance(ann, int):
-                    self._ann[rid] = fresh.add_expr(old.get_expr(ann))
-        self._arena = fresh
-
-    def _encode(self, ann: object) -> object:
-        if self._arena is not None and isinstance(ann, Expr):
-            return self._arena.add_expr(ann)
-        return ann
 
     # -- mutation -------------------------------------------------------------
 
@@ -86,7 +56,7 @@ class RowStore:
             raise ValueError(f"row {row!r} already stored (id {self._id_of[row]})")
         rid = len(self._rows)
         self._rows.append(row)
-        self._ann.append(self._encode(ann))
+        self._ann.append(ann)
         self._live.append(live)
         self._id_of[row] = rid
         return rid
@@ -121,7 +91,7 @@ class RowStore:
         self._id_of = {row: rid for rid, row in enumerate(self._rows)}
 
     def set_annotation(self, rid: int, ann: object) -> None:
-        self._ann[rid] = self._encode(ann)
+        self._ann[rid] = ann
 
     def set_live(self, rid: int, live: bool) -> None:
         self._live[rid] = live
@@ -139,10 +109,7 @@ class RowStore:
         return value
 
     def annotation(self, rid: int) -> object:
-        ann = self._ann[rid]
-        if self._arena is not None and isinstance(ann, int):
-            return self._arena.get_expr(ann)
-        return ann
+        return self._ann[rid]
 
     def is_live(self, rid: int) -> bool:
         return self._live[rid]

@@ -20,8 +20,8 @@ first test of ``test_memory.py``) now live:
   policy; recovery 2.0x -> journal records replayed; shard 1.5x ->
   normalize-memo lookups; server 1.5x -> writer cycles; view 2.0x -> rows
   decoded; replication (already counted: captures per read) -> captures
-  under one write stream; memory -> expression objects resident at rest,
-  with interned == reachable-from-the-resident-engine + 1 inside
+  under one write stream; memory -> intern table nodes at rest, with
+  interned == reachable-from-the-resident-engine + 1 inside
   ``consistent``;
 * ``hits > 0``, ``index_hits > 0``, ``checkpoints >= 2``,
   ``tail_records > 0``, ``routed_queries == queries`` (hence
@@ -76,7 +76,9 @@ SHAPE = {
     "replication": lambda row: row["follower reads"] > 0
     and row["followers"] == 3
     and row["baseline work"] > 0,
-    "memory": lambda row: row["reachable nodes"] > 1 and row["claimed peak rss"] > 0,
+    "memory": lambda row: row["reachable nodes"] > 1
+    and row["freed nodes"] > 0
+    and row["peak rss"] > 0,
 }
 
 

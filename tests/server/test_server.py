@@ -101,26 +101,17 @@ def test_round_trip_bit_identical_across_policies(policy):
             assert_bit_identical(client.state(), direct)
 
 
-def test_arena_server_repacks_its_arena_once_it_doubles():
-    """The writer repacks the append-only at-rest arena at a cycle end once
-    it has doubled since the last repack, and the served state stays
-    bit-identical through the repacks."""
-    config = SyntheticConfig(
-        n_tuples=200, n_queries=240, n_groups=8, group_size=3,
-        queries_per_transaction=4, seed=7,
-    )
-    database, items = synthetic_database(config), list(synthetic_log(config).items)
-    direct = Engine(database, policy="normal_form_batch", arena=True)  # never repacked
-    with serve(database, policy="normal_form_batch", arena=True) as handle:
+def test_stats_memory_block_is_rss_and_the_intern_table():
+    """Annotations stay expression objects at rest, so the ``memory`` block
+    reports the process RSS and the live intern table, nothing else."""
+    database, items = small_workload(seed=7)
+    with serve(database) as handle:
         with ServerClient(handle.host, handle.port) as client:
-            sizes = [client.stats()["memory"]["arena_nodes"]]
-            for item in items:
-                client.apply(item)
-                direct.apply(item)
-                sizes.append(client.stats()["memory"]["arena_nodes"])
-            assert_bit_identical(client.state(), direct)
-    assert any(after < before for before, after in zip(sizes, sizes[1:])), sizes
-    assert sizes[-1] < direct.arena_size()[0]
+            client.apply(items)
+            memory = client.stats()["memory"]
+    assert set(memory) == {"rss_bytes", "peak_rss_bytes", "intern_table_size"}
+    assert memory["peak_rss_bytes"] >= memory["rss_bytes"] > 0
+    assert memory["intern_table_size"] > 0
 
 
 def test_provenance_reply_ships_each_distinct_node_once():

@@ -134,7 +134,7 @@ def test_subscribe_rejected_on_mv_backend():
 
 
 def test_slow_consumer_is_dropped_with_a_lagged_notice():
-    # Frames carry the transaction name into the expression arena, so a
+    # Frames carry the transaction name into the expression node table, so a
     # long annotation makes each push large enough that an unread reader's
     # socket (and then its send queue) fills within a few hundred writes.
     with serve(push_backlog=4) as handle:

@@ -25,8 +25,8 @@ def test_child_peak_is_not_floored_by_a_large_parent():
 
     A launcher holding 200 MB of touched ballast spawns a child that only
     imports ``repro.memory``: the child's reported peak must be its own
-    (a few MB), not the launcher's — otherwise ``memchild``'s per-mode
-    peaks and every server's ``stats`` peak are floored by who started it.
+    (a few MB), not the launcher's — otherwise ``memchild``'s peak and
+    every server's ``stats`` peak are floored by who started it.
     """
     child = (
         "import resource\n"

@@ -103,5 +103,5 @@ def test_codec_round_trip_reinterns_identical_objects():
     )
     decoded = decode_delta_batch(encode_delta_batch(batch))
     assert decoded == batch
-    # The arena re-interns: both rows share the very same expression object.
+    # The node table re-interns: both rows share the very same expression object.
     assert decoded.deltas[0].expr is decoded.deltas[1].expr is shared
