@@ -245,95 +245,6 @@ def index_axis(config: SyntheticConfig, _workdir: Path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# shard: pattern-routed partitions vs. one engine
-# ---------------------------------------------------------------------------
-
-
-@axis(
-    "shard",
-    "Sharding: one engine vs pattern-routed shards (normal_form_batch)",
-    "normalize-memo lookups",
-    # A routable fig8-style scenario — every deletion/modification an
-    # equality on the grp shard key, one query per transaction: the
-    # flush-heavy regime where routed transaction ends pay off even on a
-    # single core.  (scenario, shards)
-    _by_scale(
-        (SyntheticConfig(n_tuples=500, n_queries=60, n_groups=12, group_size=2, seed=2), 4),
-        (SyntheticConfig(n_tuples=3_000, n_queries=160, n_groups=24, group_size=6, seed=3), 8),
-        (SyntheticConfig(n_tuples=12_000, n_queries=320, n_groups=48, group_size=6, seed=3), 8),
-        (SyntheticConfig(n_tuples=50_000, n_queries=640, n_groups=96, group_size=6, seed=3), 16),
-    ),
-)
-def shard_axis(sizes, _workdir: Path) -> list[dict]:
-    """Apply one log sharded and unsharded, on both shard backends.
-
-    Both sides run the identical executor code on the identical workload;
-    the sharded side only adds routing.  Times are wall-clock around
-    update application plus one observation (the sharded drain barrier,
-    so pending parallel runs are fully paid); construction — loading the
-    initial database into every store, spawning pool workers — is outside
-    both timed sections.
-
-    The win has two independent sources: on any machine, routed
-    transaction ends make per-boundary maintenance (the
-    ``normal_form_batch`` flush) proportional to the touched shard's
-    support instead of the whole support — counted as lookups of the
-    ``normalize`` memo, one per flushed row; on multi-core machines the
-    process-pool backend additionally overlaps the shards' routed runs.
-    Pool workers normalize in their own processes, out of this process's
-    counters, so the process-pool row gates on bit-identity alone.
-    """
-    from ..shard import ShardedEngine, route_query
-    from ..shard.partition import ShardMap
-
-    config, shards = sizes
-    policy = "normal_form_batch"
-    database = synthetic_database(config)
-    log = synthetic_log(config)
-    shard_keys = {"synthetic": "grp"}
-    shard_map = ShardMap(database.schema, shards, shard_keys)
-    routed = sum(len(route_query(query, shard_map)) == 1 for query in log.queries())
-
-    def lookups() -> int:
-        stats = memo_stats()["normalize"]
-        return stats.hits + stats.misses
-
-    def applied(engine) -> tuple[float, int]:
-        before = lookups()
-        start = time.perf_counter()
-        engine.apply(log)
-        engine.support_count()  # observation: drains the backend, flushes every shard
-        return time.perf_counter() - start, lookups() - before
-
-    rows = []
-    for parallel in (False, True):
-        sharded = ShardedEngine(
-            database, n_shards=shards, policy=policy, shard_keys=shard_keys, parallel=parallel
-        )
-        try:
-            claimed_s, claimed_lookups = applied(sharded)
-            unsharded = Engine(database, policy=policy)
-            baseline_s, baseline_lookups = applied(unsharded)
-            consistent = bit_identical(unsharded, sharded)
-        finally:
-            sharded.close()
-        rows.append(
-            _row(
-                {
-                    "backend": "process pool" if parallel else "sequential",
-                    "shards": shards,
-                    "queries": unsharded.stats.queries,
-                    "routed queries": routed,
-                },
-                work=None if parallel else (baseline_lookups, claimed_lookups),
-                seconds=(baseline_s, claimed_s),
-                consistent=consistent,
-            )
-        )
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # server: admission batching vs. per-call dispatch
 # ---------------------------------------------------------------------------
 

@@ -16,7 +16,7 @@ ablation_annotations  (ours) effect of annotation granularity on the
 ==========  ===============================================================
 
 The same registry holds the measured axes of :mod:`repro.bench.axes`
-(``cache index shard server view recovery replication memory``): one
+(``cache index server view recovery replication memory``): one
 name space, one ``repro figure NAME --scale S --save DIR``.
 
 Execution model: logs run as a single annotated transaction (the paper's

@@ -8,9 +8,7 @@ Subcommands::
     repro figure cache index ...      a layer's measured axis (counted gate)
     repro tpcc --queries 400          generate + run a TPC-C log, report overheads
     repro tpcc --journal state/ --policy naive   same, durably (WAL + checkpoints)
-    repro tpcc --shards 4             same, hash-partitioned with routed updates
     repro recover state/              resume a journaled directory after a crash
-                                      (sharded directories are auto-detected)
     repro serve state/ --schema R:a,b serve the engine over TCP (recovers state/
                                       if it already holds a journaled deployment)
     repro client apply log.json       talk to a running server (also: ping, stats,
@@ -52,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names",
         nargs="+",
         help="figure ids (fig7 fig8 fig9a fig9b fig10 blowup ablation), measured axes "
-        "(cache index shard server view recovery replication memory) or 'all'",
+        "(cache index server view recovery replication memory) or 'all'",
     )
     figure.add_argument("--scale", default=None, help="tiny | small | medium | paper")
     figure.add_argument("--save", default=None, metavar="DIR", help="write JSON/CSV here")
@@ -85,20 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="checkpoint after N journal records (default: 1024)",
     )
-    tpcc.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="hash-partition every relation across N shard engines with "
-        "pattern-routed updates (0 = unsharded; combines with --journal "
-        "for one durable directory per shard)",
-    )
-    tpcc.add_argument(
-        "--parallel-shards",
-        action="store_true",
-        help="run the shards in a process pool instead of in-process",
-    )
     tpcc.set_defaults(func=cmd_tpcc)
 
     recover = sub.add_parser(
@@ -120,19 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint threshold for the resumed engine (match the original "
         "run; default: 1024)",
     )
-    recover.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="expected shard count of a sharded directory (topology is "
-        "auto-detected from shards.json; this only validates it)",
-    )
-    recover.add_argument(
-        "--parallel-shards",
-        action="store_true",
-        help="recover and resume the shards in a process pool",
-    )
     recover.set_defaults(func=cmd_recover)
 
     serve = sub.add_parser(
@@ -142,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         "directory",
         nargs="?",
         default=None,
-        help="durable directory (journaled/sharded backends); an existing "
+        help="durable directory (journaled backend); an existing "
         "deployment there is recovered and resumed. Omit for a purely "
         "in-memory server",
     )
@@ -150,10 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=None, help="default: 7464")
     serve.add_argument(
         "--backend",
-        choices=["auto", "plain", "journaled", "sharded"],
+        choices=["auto", "plain", "journaled"],
         default="auto",
-        help="auto = journaled when a directory is given (sharded if it holds "
-        "shards.json), plain otherwise",
+        help="auto = journaled when a directory is given, plain otherwise",
     )
     serve.add_argument(
         "--policy",
@@ -176,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="REL=path",
         help="load initial rows for REL from a CSV file (repeatable)",
     )
-    serve.add_argument("--shards", type=int, default=4, metavar="N")
-    serve.add_argument("--parallel-shards", action="store_true")
     serve.add_argument(
         "--journal-sync", choices=["none", "flush", "fsync"], default="flush"
     )
@@ -544,20 +512,7 @@ def cmd_tpcc(args: argparse.Namespace) -> int:
     )
     baseline = Engine(workload.database, policy="none").apply(workload.log)
     try:
-        if args.shards:
-            from .shard import ShardedEngine
-
-            engine = ShardedEngine(
-                workload.database,
-                n_shards=args.shards,
-                policy=args.policy,
-                parallel=args.parallel_shards,
-                journal_dir=args.journal,
-                sync=args.journal_sync,
-                checkpoint_every=args.checkpoint_every,
-            )
-            engine.apply(workload.log)
-        elif args.journal:
+        if args.journal:
             from .wal import JournaledEngine
 
             engine = JournaledEngine(
@@ -573,22 +528,12 @@ def cmd_tpcc(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # Observation stays inside the handler: on the process-pool backend a
-    # dead shard worker surfaces here as an EngineError, and the workers
-    # stop serving captures once closed.
     try:
         report = engine.overhead_report(baseline)
         for key, value in report.items():
             print(f"  {key}: {value}")
         diverged = not engine.result().same_contents(baseline.result())
-        if args.shards:
-            if args.journal:
-                print(
-                    f"  journal: {args.shards} shard directories "
-                    f"({engine.stats.checkpoint_time:.3f}s checkpointing) -> {args.journal}"
-                )
-            engine.close()
-        elif args.journal:
+        if args.journal:
             engine.close()
             print(
                 f"  journal: {engine.journal.appended} records appended, "
@@ -596,8 +541,6 @@ def cmd_tpcc(args: argparse.Namespace) -> int:
                 f"({engine.stats.checkpoint_time:.3f}s) -> {args.journal}"
             )
     except ReproError as exc:
-        if args.shards:
-            engine.close(checkpoint=False)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if diverged:
@@ -608,46 +551,8 @@ def cmd_tpcc(args: argparse.Namespace) -> int:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     from .errors import ReproError
-    from .shard import is_sharded_directory, recover_sharded
     from .wal import recover
 
-    if is_sharded_directory(args.directory):
-        try:
-            engine = recover_sharded(
-                args.directory,
-                parallel=args.parallel_shards,
-                sync=args.journal_sync,
-                checkpoint_every=args.checkpoint_every,
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report = engine.recovery
-        if args.shards is not None and report.n_shards != args.shards:
-            print(
-                f"error: {args.directory} holds {report.n_shards} shards, "
-                f"--shards says {args.shards}",
-                file=sys.stderr,
-            )
-            engine.close(checkpoint=False)
-            return 2
-        print(
-            f"recovered {args.directory} "
-            f"(policy {report.policy}, {report.n_shards} shards)"
-        )
-        for key, value in report.as_dict().items():
-            if key not in ("policy", "n_shards", "shards"):
-                print(f"  {key}: {value}")
-        for shard, shard_report in enumerate(report.shards):
-            print(
-                f"  shard {shard:02d}: tail {shard_report['tail_records']} records, "
-                f"{shard_report['replayed_queries']} queries replayed, "
-                f"{shard_report['support_rows']} support rows"
-            )
-        # close() force-checkpoints every journaled shard, folding the
-        # replayed tails in so the next recovery starts clean.
-        engine.close()
-        return 0
     try:
         engine = recover(
             args.directory,
@@ -706,20 +611,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     backend = args.backend
     if backend == "auto":
-        if args.directory is None:
-            backend = "plain"
-        else:
-            from .shard import is_sharded_directory
-
-            backend = "sharded" if is_sharded_directory(args.directory) else "journaled"
+        backend = "plain" if args.directory is None else "journaled"
     config = ServerConfig(
         host=args.host,
         port=args.port if args.port is not None else DEFAULT_PORT,
         backend=backend,
         policy=args.policy,
         directory=args.directory,
-        shards=args.shards,
-        parallel_shards=args.parallel_shards,
         sync=args.journal_sync,
         checkpoint_every=args.checkpoint_every,
         admission_max=args.admission_max,

@@ -341,11 +341,10 @@ class Engine:
 
     # -- the quiescent-point contract ---------------------------------------------------
     #
-    # Everything a host (the provenance service, a shard coordinator, a
-    # replication follower) may ask of a backend between top-level
-    # updates.  The plain in-memory behaviour lives here; JournaledEngine
-    # and ShardedEngine override what differs.  docs/ARCHITECTURE.md
-    # ("Engine contract") tabulates method x backend.
+    # Everything a host (the provenance service, a replication follower)
+    # may ask of a backend between top-level updates.  The plain in-memory
+    # behaviour lives here; JournaledEngine overrides what differs.
+    # docs/ARCHITECTURE.md ("Engine contract") tabulates method x backend.
 
     #: RecoveryReport when this engine came out of ``recover()``.
     recovery = None

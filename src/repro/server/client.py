@@ -274,8 +274,7 @@ class ServerClient:
     def provenance(self, relation: str) -> list[tuple[tuple, Expr, bool]]:
         """``(row, expression, live)`` per stored row, re-interned locally.
 
-        The provenance-free policy reports ``ZERO`` expressions, exactly
-        like :meth:`repro.shard.engine.ShardedEngine.provenance`.
+        The provenance-free policy reports ``ZERO`` expressions.
         """
         rows = decode_capture(self._call("provenance", relation=relation)["rows"])
         self._last_reads[("provenance", relation)] = rows

@@ -30,8 +30,7 @@ system already trusts for durability and cross-process shipping:
   carries many expressions (``provenance``, ``state``, the ``subscribe``
   seed, pushed deltas) ships one table plus an integer root per row, and
   ``annotation_of`` ships the one-root case.  The receiving process
-  re-interns every node, exactly like the shard worker captures (see
-  :mod:`repro.shard.codec`).
+  re-interns every node (see :mod:`repro.shard.codec`).
 
 Constants are therefore restricted to JSON scalars — the same restriction
 every durable log already satisfies.

@@ -1,9 +1,8 @@
 """The concurrent provenance service: one writer, snapshot-isolated readers.
 
 A :class:`ProvenanceService` wraps exactly one backend engine — a plain
-:class:`~repro.engine.engine.Engine`, a durable
-:class:`~repro.wal.engine.JournaledEngine`, or a
-:class:`~repro.shard.engine.ShardedEngine` — behind an **admission
+:class:`~repro.engine.engine.Engine` or a durable
+:class:`~repro.wal.engine.JournaledEngine` — behind an **admission
 queue**.  All engine access is confined to a single writer running on a
 dedicated one-thread executor:
 
@@ -43,7 +42,6 @@ from ..errors import EngineError, ServerError
 from ..queries.pattern import Pattern
 from ..queries.updates import Transaction, UpdateQuery
 from ..shard.codec import capture_engine
-from ..shard.engine import ShardedEngine
 from ..views import DeltaBuffer, StandingView, ViewRegistry
 from ..wal.checkpoint import DEFAULT_EVERY_RECORDS, CheckpointManager
 from ..wal.engine import JournaledEngine
@@ -57,15 +55,11 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  #: 0 = ephemeral (the bound port is reported back)
-    #: ``plain`` (in-memory Engine), ``journaled`` (WAL + checkpoints in
-    #: ``directory``), or ``sharded`` (hash-partitioned; durable when
-    #: ``directory`` is set).
+    #: ``plain`` (in-memory Engine) or ``journaled`` (WAL + checkpoints
+    #: in ``directory``).
     backend: str = "plain"
     policy: str = "normal_form_batch"
     directory: str | None = None
-    shards: int = 4
-    parallel_shards: bool = False
-    shard_keys: Mapping[str, int | str] | None = None
     sync: str = "flush"
     checkpoint_every: int = DEFAULT_EVERY_RECORDS
     #: Most apply admissions fused into one writer cycle; 1 = per-call
@@ -109,12 +103,16 @@ def build_engine(database: Database | None, config: ServerConfig):
 
     An existing durable directory wins over ``database``: ``journaled``
     resumes via :func:`repro.wal.recovery.recover` when ``directory``
-    already holds a checkpoint, and ``sharded`` resumes via
-    :func:`repro.shard.recovery.recover_sharded` when it holds a
-    ``shards.json`` manifest — so restarting ``repro serve DIR`` after a
-    crash is itself the recovery procedure.
+    already holds a checkpoint — so restarting ``repro serve DIR`` after
+    a crash is itself the recovery procedure.  ``plain`` keeps nothing on
+    disk, so a ``directory`` given with it is refused rather than ignored.
     """
     if config.backend == "plain":
+        if config.directory is not None:
+            raise ServerError(
+                f"backend 'plain' keeps no durable directory (got "
+                f"{config.directory}); use backend 'journaled' to serve it"
+            )
         if database is None:
             raise ServerError("backend 'plain' needs an initial database")
         return Engine(database, policy=config.policy)
@@ -141,30 +139,8 @@ def build_engine(database: Database | None, config: ServerConfig):
             sync=config.sync,
             checkpoint_every=config.checkpoint_every,
         )
-    if config.backend == "sharded":
-        from ..shard.recovery import is_sharded_directory, recover_sharded
-
-        if config.directory is not None and is_sharded_directory(config.directory):
-            return recover_sharded(
-                config.directory,
-                parallel=config.parallel_shards,
-                sync=config.sync,
-                checkpoint_every=config.checkpoint_every,
-            )
-        if database is None:
-            raise ServerError("backend 'sharded' needs an initial database")
-        return ShardedEngine(
-            database,
-            n_shards=config.shards,
-            policy=config.policy,
-            shard_keys=config.shard_keys,
-            parallel=config.parallel_shards,
-            journal_dir=config.directory,
-            sync=config.sync,
-            checkpoint_every=config.checkpoint_every,
-        )
     raise ServerError(
-        f"unknown backend {config.backend!r} (known: plain, journaled, sharded)"
+        f"unknown backend {config.backend!r} (known: plain, journaled)"
     )
 
 

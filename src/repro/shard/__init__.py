@@ -1,32 +1,6 @@
-"""Horizontal scale: hash-partitioned shards with pattern-routed updates.
+"""The capture codec of the served path (:mod:`repro.shard.codec`).
 
-* :mod:`repro.shard.partition` — stable hashing, shard-key maps, database
-  partitioning (the partitioning invariant);
-* :mod:`repro.shard.router` — pattern → shard-set compilation, the
-  planner's decision one level up;
-* :mod:`repro.shard.engine` — :class:`ShardedEngine` and its two
-  backends (same-process sequential reference, process pool);
-* :mod:`repro.shard.worker` / :mod:`repro.shard.codec` — the worker
-  protocol and the re-interning wire codec;
-* :mod:`repro.shard.recovery` — per-shard crash recovery of a whole
-  durable deployment.
+The package keeps its historical name only so that code naming the
+codec by module path (``repro.shard.codec:capture_engine`` and friends)
+keeps resolving; it imports nothing on its own.
 """
-
-from .engine import MANIFEST_FILE, SHARDABLE_POLICIES, ShardedEngine, shard_directory
-from .partition import ShardMap, partition_database, stable_hash
-from .recovery import ShardedRecoveryReport, is_sharded_directory, recover_sharded
-from .router import route_query
-
-__all__ = [
-    "MANIFEST_FILE",
-    "SHARDABLE_POLICIES",
-    "ShardMap",
-    "ShardedEngine",
-    "ShardedRecoveryReport",
-    "is_sharded_directory",
-    "partition_database",
-    "recover_sharded",
-    "route_query",
-    "shard_directory",
-    "stable_hash",
-]

@@ -1,29 +1,35 @@
-"""Wire codec between the shard coordinator and its worker processes.
+"""The capture codec: annotated state and update streams as wire payloads.
 
-Two vocabularies cross the process boundary, both reusing codecs that
-already exist for durability:
+Everything the served path ships between processes goes through here,
+reusing codecs that already exist for durability:
 
 * **updates** travel as the :meth:`repro.workloads.logs.UpdateLog.events`
   stream — ``("query", query_to_dict(q))`` / ``("txn_end", name)`` — the
-  same replay vocabulary the write-ahead journal records, decoded on the
-  worker with :func:`repro.workloads.logs.log_from_events` so transaction
-  hooks fire at exactly their event positions;
+  same replay vocabulary the write-ahead journal records
+  (:func:`items_to_events` on the client, :func:`decode_events` on the
+  server), so transaction hooks fire at exactly their event positions;
 * **annotated state** travels as ``{relation: {row: (expression,
-  live)}}`` captures (:func:`encode_capture`): every expression of the
-  capture goes into one shared :mod:`repro.storage.exprjson` node table
-  and each row carries its integer root, so structure shared across rows
-  ships once and even naive-policy expressions ship in space
-  proportional to their DAG size.  The same payload answers the
-  service's ``state``, ``provenance`` and ``subscribe`` ops.
+  live)}}`` captures (:func:`capture_engine`, :func:`encode_capture`):
+  every expression of the capture goes into one shared
+  :mod:`repro.storage.exprjson` node table and each row carries its
+  integer root, so structure shared across rows ships once and even
+  naive-policy expressions ship in space proportional to their DAG size.
+  The same payload answers the service's ``state``, ``provenance`` and
+  ``subscribe`` ops;
+* **tuple variables** travel as ``[relation, row, name]`` triples
+  (:func:`encode_tuple_vars`).
 
 Expressions are *never* pickled directly: hash-consed nodes unpickle into
 fresh objects, severing the interning identity the bit-identity checks
 (and every identity-keyed memo) rely on.  Decoding through the smart
 constructors re-interns every node in the receiving process, so a capture
-decoded at the coordinator is made of the *same* expression objects an
-unsharded engine running there would have built — the honest treatment of
-the process-global intern table across worker boundaries (see
-``docs/ARCHITECTURE.md``).
+decoded by a client is made of the *same* expression objects an engine
+running there would have built (see ``docs/ARCHITECTURE.md``).
+
+The module lives in :mod:`repro.shard` for a historical reason only: it
+was first written as the wire format of a partitioned engine that has
+since been retired.  Tools that trace the served path name its functions
+by module path, so it stays here until those names move with it.
 """
 
 from __future__ import annotations
@@ -93,8 +99,8 @@ def capture_engine(engine) -> Capture:
 
     The capture itself is the engine contract's
     :meth:`~repro.engine.engine.Engine.capture`; this is the wire
-    vocabulary's name for it — what the service, the shard coordinator
-    and the shard workers call before :func:`encode_capture`.
+    vocabulary's name for it — what the service calls before
+    :func:`encode_capture`.
     """
     return engine.capture()
 

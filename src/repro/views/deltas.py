@@ -34,8 +34,7 @@ the snapshot version that produced it.
 On the wire a batch carries the one expression encoding every capture
 uses (:func:`repro.storage.exprjson.exprs_to_arena`): one shared node
 table per batch plus an integer root per delta, expressions re-interned
-by the receiving process exactly like ``state`` replies and shard-worker
-captures.
+by the receiving process exactly like ``state`` replies.
 """
 
 from __future__ import annotations

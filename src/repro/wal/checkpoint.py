@@ -41,6 +41,9 @@ __all__ = ["CheckpointManager", "CHECKPOINT_FILE", "JOURNAL_FILE"]
 
 CHECKPOINT_FILE = "checkpoint.sqlite"
 JOURNAL_FILE = "journal.log"
+#: Manifest of the retired sharded layout (one journaled subdirectory per
+#: shard); a directory holding it is refused, never read as empty.
+_SHARDED_MANIFEST = "shards.json"
 
 #: Default checkpoint threshold: journal records since the last checkpoint.
 DEFAULT_EVERY_RECORDS = 1024
@@ -63,6 +66,14 @@ class CheckpointManager:
         # (recover on a mistyped directory must not create it); the fresh
         # JournaledEngine creates the directory before opening its journal.
         self.directory = Path(directory)
+        manifest = self.directory / _SHARDED_MANIFEST
+        if manifest.exists():
+            raise StorageError(
+                f"{self.directory} holds {manifest.name}, the sharded layout, "
+                "which is no longer supported; recover it with a release that "
+                "still ships the sharded engine, or replay its logs into a "
+                "fresh directory"
+            )
         self.checkpoint_path = self.directory / CHECKPOINT_FILE
         self.journal_path = self.directory / JOURNAL_FILE
         self.every_records = every_records

@@ -17,15 +17,14 @@ first test of ``test_memory.py``) now live:
 * every ``comparison.speedup >= floor`` behind ``retrying()`` -> the
   counted ``row["gate"]``: cache 2.0x -> nodes rewritten; index 1.5x, per
   policy ``normal_form``/``naive``/``none`` -> rows examined, one row per
-  policy; recovery 2.0x -> journal records replayed; shard 1.5x ->
-  normalize-memo lookups; server 1.5x -> writer cycles; view 2.0x -> rows
-  decoded; replication (already counted: captures per read) -> captures
-  under one write stream; memory -> intern table nodes at rest, with
+  policy; recovery 2.0x -> journal records replayed; server 1.5x ->
+  writer cycles; view 2.0x -> rows decoded; replication (already
+  counted: captures per read) -> captures under one write stream;
+  memory -> intern table nodes at rest, with
   interned == reachable-from-the-resident-engine + 1 inside
   ``consistent``;
 * ``hits > 0``, ``index_hits > 0``, ``checkpoints >= 2``,
-  ``tail_records > 0``, ``routed_queries == queries`` (hence
-  ``broadcast_queries == 0``), ``batched_max_admitted > 1``,
+  ``tail_records > 0``, ``batched_max_admitted > 1``,
   ``batched_cycles < percall_cycles`` (now the server gate itself),
   ``push_batches == updates``, ``affected < watched < rows``,
   ``follower_reads > 0``, ``followers == 3``, ``primary_captures > 0``,
@@ -68,7 +67,6 @@ SHARED_COLUMNS = [
 SHAPE = {
     "cache": lambda row: row["hits"] > 0 and row["claimed work"] > 0,
     "index": lambda row: row["index hits"] > 0,
-    "shard": lambda row: row["routed queries"] == row["queries"],
     "server": lambda row: row["max admitted"] > 1,
     "view": lambda row: row["push batches"] == row["updates"]
     and row["affected"] < row["watched"] < row["rows"],

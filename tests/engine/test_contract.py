@@ -1,8 +1,7 @@
 """Engine-contract conformance: every backend, one quiescent-point surface.
 
-The same seeded log lands on a plain, a journaled, a crash-recovered, a
-follower-mode, a sequential-sharded (durable) and a process-pool-sharded
-(in-memory) engine.  Every ``capture()`` must be bit-identical to direct
+The same seeded log lands on a plain, a journaled, a crash-recovered and
+a follower-mode engine.  Every ``capture()`` must be bit-identical to direct
 replay (the shared oracle), and every contract method — the table in
 ``docs/ARCHITECTURE.md``, "Engine contract" — must either return its
 documented shape or raise its documented :class:`EngineError`.
@@ -19,7 +18,6 @@ from repro.errors import EngineError
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Insert, Transaction
 from repro.replication.apply import ShipmentApplier
-from repro.shard import ShardedEngine
 from repro.views import DeltaBuffer
 from repro.wal import JournaledEngine, recover
 from repro.wal.journal import tail_journal
@@ -27,10 +25,10 @@ from repro.workloads.synthetic import synthetic_workload
 
 POLICY = "normal_form_batch"  # journal-resumable, and defers work to flushes
 RELATION = "synthetic"
-KINDS = ("plain", "journaled", "recovered", "follower", "sharded", "sharded_pool")
+KINDS = ("plain", "journaled", "recovered", "follower")
 #: kinds with one durable journal sequence / kinds that can checkpoint now.
 SEQUENCED = {"journaled", "recovered", "follower"}
-CHECKPOINTING = {"journaled", "recovered", "sharded"}
+CHECKPOINTING = {"journaled", "recovered"}
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +79,6 @@ class Backend:
             )
             self.engine.follow()
             self.applier = ShipmentApplier(self.engine)
-        elif kind == "sharded":
-            self.engine = ShardedEngine(
-                database, n_shards=2, policy=POLICY, journal_dir=tmp_path
-            )
-        else:
-            self.engine = ShardedEngine(database, n_shards=2, policy=POLICY, parallel=True)
         self.apply(log)
 
     def apply(self, items) -> None:
@@ -125,7 +117,7 @@ def test_observation_surface_agrees_with_direct_replay(backend, reference):
     assert engine.policy == POLICY and engine.tracks_provenance
     assert engine.tuple_vars() == reference.tuple_vars()
     assert engine.stats.snapshot()["queries"] == reference.stats.queries
-    # The read API over the merged/recovered state, not only capture():
+    # The read API over the recovered/followed state, not only capture():
     assert engine.result().same_contents(reference.result())
     assert engine.live_rows(RELATION) == reference.live_rows(RELATION)
     assert engine.live_rows(RELATION) == engine.result().rows(RELATION)
@@ -147,10 +139,6 @@ def test_observation_surface_agrees_with_direct_replay(backend, reference):
 )
 def test_match_rows_is_the_filtered_capture(backend, pattern):
     engine = backend.engine
-    if backend.kind == "sharded_pool":  # no store in reach: same rejection
-        with pytest.raises(EngineError, match="process-pool"):
-            engine.match_rows(RELATION, pattern)
-        return
     expected = {
         row: payload
         for row, payload in engine.capture()[RELATION].items()
@@ -169,10 +157,6 @@ def test_flush_pending_changes_no_observable_state(backend, reference):
 
 def test_attach_deltas_streams_later_mutations_or_rejects(backend):
     engine, sink = backend.engine, DeltaBuffer()
-    if backend.kind == "sharded_pool":
-        with pytest.raises(EngineError, match="process-pool"):
-            engine.attach_deltas(sink)
-        return
     engine.attach_deltas(sink)
     row = (10**6, 1, 0, 0, 0)
     backend.apply([Transaction("later", [Insert(RELATION, row)])])
@@ -191,7 +175,6 @@ def test_checkpoint_writes_or_raises_the_documented_error(backend):
     message = {
         "plain": "no durable state",
         "follower": "followers checkpoint from the shipped stream",
-        "sharded_pool": "not journaled",
     }[backend.kind]
     with pytest.raises(EngineError, match=message):
         engine.checkpoint()

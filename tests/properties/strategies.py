@@ -88,17 +88,11 @@ def transactions(name: str = "p", max_queries: int = 5):
     )
 
 
-def logs(max_transactions: int = 3, max_queries: int = 4, queries=queries):
-    """A list of transactions with distinct annotations t0, t1, ...
-
-    ``queries`` swaps the per-transaction query strategy — e.g. a
-    shard-safe one whose modifications never assign the shard key.
-    """
+def logs(max_transactions: int = 3, max_queries: int = 4):
+    """A list of transactions with distinct annotations t0, t1, ..."""
 
     def build(query_lists):
-        return [
-            Transaction(f"t{i}", queries) for i, queries in enumerate(query_lists)
-        ]
+        return [Transaction(f"t{i}", batch) for i, batch in enumerate(query_lists)]
 
     return st.lists(
         st.lists(queries, min_size=1, max_size=max_queries),

@@ -6,52 +6,27 @@ transaction per version, drain the engine's coalesced delta buffer at
 each quiescent point, and the maintained answer set must be
 *bit-identical* — same rows, same liveness, and the **identical interned
 expression object** per row — to a fresh pattern-filtered capture at the
-same version.  Checked across every delta-capable policy and both shard
-streams (a shard key on the first column makes ``logs()``'s eq-on-a
-selections routed and everything else broadcast), so coalescing,
-deferred-normalization flushing, and the sequential shard backend's
-shared sink all sit under the property.
+same version.  Checked across every delta-capable policy, so coalescing
+and deferred-normalization flushing both sit under the property.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from repro.engine.engine import Engine
 from repro.engine.oracle import assert_bit_identical
 from repro.queries.pattern import Pattern
-from repro.queries.updates import Modify
-from repro.shard import ShardedEngine
 from repro.views import DeltaBuffer, ViewRegistry
 
-from .strategies import ARITY, VALUES, databases, deletes, inserts, logs, patterns
+from .strategies import ARITY, databases, logs, patterns
 
-#: Shard-safe queries: modifications only ever assign column ``b``, so a
-#: shard key on ``a`` is never re-sharded — selections still mix routed
-#: (eq on ``a``) and broadcast shapes.
-sharded_queries = st.one_of(
-    inserts,
-    deletes,
-    st.builds(lambda pattern, value: Modify("R", pattern, {1: value}), patterns, VALUES),
-)
-
-#: Engine flavors under the property: every delta-capable policy, plus
-#: sequential sharded backends whose random streams mix routed (shard-key
-#: equality) and broadcast (everything else) deltas through one shared sink.
+#: Engine flavors under the property: every delta-capable policy.
 PLAIN_FLAVORS = {
     "naive": lambda db: Engine(db, policy="naive"),
     "normal_form": lambda db: Engine(db, policy="normal_form"),
     "normal_form_batch": lambda db: Engine(db, policy="normal_form_batch"),
-}
-
-SHARDED_FLAVORS = {
-    "sharded_naive": lambda db: ShardedEngine(
-        db, n_shards=2, policy="naive", shard_keys={"R": "a"}
-    ),
-    "sharded_batch": lambda db: ShardedEngine(
-        db, n_shards=2, policy="normal_form_batch", shard_keys={"R": "a"}
-    ),
 }
 
 
@@ -95,9 +70,3 @@ def _check_views_track_recompute(engine, log, pattern):
 @given(databases, logs(), patterns)
 def test_view_equals_recompute_at_every_version(flavor, db, log, pattern):
     _check_views_track_recompute(PLAIN_FLAVORS[flavor](db), log, pattern)
-
-
-@pytest.mark.parametrize("flavor", sorted(SHARDED_FLAVORS))
-@given(databases, logs(queries=sharded_queries), patterns)
-def test_sharded_view_equals_recompute_at_every_version(flavor, db, log, pattern):
-    _check_views_track_recompute(SHARDED_FLAVORS[flavor](db), log, pattern)

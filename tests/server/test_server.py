@@ -5,7 +5,7 @@ to it over TCP with the blocking client.  Because client decoding
 re-interns expressions in this very process, "bit-identical" is asserted
 at full strength: equal rows, equal liveness, and the *identical*
 interned annotation object per row, compared against a direct in-process
-engine applying the same items — across the plain, journaled and sharded
+engine applying the same items — across the plain and journaled
 backends.
 """
 
@@ -40,14 +40,12 @@ def serve(database, **overrides):
     return serve_in_thread(database, config)
 
 
-@pytest.mark.parametrize("backend", ["plain", "journaled", "sharded"])
+@pytest.mark.parametrize("backend", ["plain", "journaled"])
 def test_round_trip_bit_identical_across_backends(backend, tmp_path):
     database, items = small_workload()
     overrides = {"policy": "normal_form_batch", "backend": backend}
     if backend == "journaled":
         overrides["directory"] = str(tmp_path / "state")
-    if backend == "sharded":
-        overrides["shards"] = 3
 
     direct = Engine(database, policy="normal_form_batch")
     with serve(database, **overrides) as handle:

@@ -51,29 +51,45 @@ def test_tpcc_journal_then_recover(tmp_path, capsys):
     assert "recovered" in out and "tail_records" in out and "lifetime" in out
 
 
-def test_tpcc_sharded(capsys):
-    assert main(["tpcc", "--queries", "40", "--shards", "3", "--policy", "naive"]) == 0
-    out = capsys.readouterr().out
-    assert "TPC-C" in out and "provenance_size" in out
+def _serve_refused(argv: list[str]) -> str:
+    """Run ``repro serve`` in a child that must exit 2; return its stderr.
 
+    A child, so that a server which wrongly starts times out the test
+    instead of serving forever inside it.
+    """
+    import subprocess
+    import sys
 
-def test_tpcc_sharded_journal_then_recover(tmp_path, capsys):
-    directory = str(tmp_path / "sharded")
-    code = main(
-        [
-            "tpcc", "--queries", "40", "--policy", "naive",
-            "--shards", "3", "--journal", directory, "--checkpoint-every", "30",
-        ]
+    from .conftest import subprocess_env
+
+    child = subprocess.run(
+        [sys.executable, "-c",
+         f"from repro.cli import main; raise SystemExit(main({['serve', *argv]!r}))"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60,
     )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "journal: 3 shard directories" in out
-    # Sharded directories are auto-detected; --shards only validates.
-    assert main(["recover", directory, "--shards", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "3 shards" in out and "shard 00:" in out and "tail_records" in out
-    assert main(["recover", directory, "--shards", "5"]) == 2
-    assert "holds 3 shards" in capsys.readouterr().err
+    assert child.returncode == 2, child.stdout + child.stderr
+    return child.stderr
+
+
+def test_sharded_directory_is_refused_by_name(tmp_path, capsys):
+    """A directory of the retired sharded layout is never read as empty."""
+    directory = tmp_path / "sharded"
+    directory.mkdir()
+    (directory / "shards.json").write_text('{"n_shards": 2}')
+    assert main(["recover", str(directory)]) == 2
+    served = _serve_refused([str(directory), "--schema", "items:sku,qty", "--port", "0"])
+    for err in (capsys.readouterr().err, served):
+        assert str(directory) in err and "no longer supported" in err
+    assert [path.name for path in directory.iterdir()] == ["shards.json"]
+
+
+def test_serve_plain_backend_refuses_a_directory(tmp_path):
+    directory = tmp_path / "state"
+    err = _serve_refused([
+        str(directory), "--backend", "plain", "--schema", "items:sku,qty", "--port", "0"
+    ])
+    assert "backend 'plain' keeps no durable directory" in err
+    assert not directory.exists()
 
 
 def test_tpcc_journal_rejects_non_resumable_policy(tmp_path, capsys):

@@ -25,7 +25,7 @@ def test_layering_checker_detects_each_kind_of_breakage(tmp_path):
     (tmp_path / "engine" / "engine.py").write_text("x = engine._inside_is_fine\n")
     (tmp_path / "service.py").write_text(
         "def f(self, engine, other):\n"
-        "    if isinstance(engine, (Engine, ShardedEngine)):\n"
+        "    if isinstance(engine, (Engine, JournaledEngine)):\n"
         "        return self.engine._backend\n"
         "    # engine._in_a_comment and 'engine._in_a_string' do not count\n"
         "    getattr(engine.executor, '_tuple_vars', {})\n"
@@ -35,7 +35,7 @@ def test_layering_checker_detects_each_kind_of_breakage(tmp_path):
     completed = run(str(tmp_path))
     assert completed.returncode == 1
     for expected in (
-        "service.py:2: isinstance(_, ShardedEngine) backend switch",
+        "service.py:2: isinstance(_, JournaledEngine) backend switch",
         "service.py:3: <engine>._backend private access",
         "service.py:5: getattr(<engine>, '_tuple_vars') reach-through",
         "service.py:7: getattr(<engine>, 'journal') reach-through",

@@ -3,11 +3,11 @@
 reaches into an engine's private state.
 
 Every backend answers one quiescent-point contract (``docs/ARCHITECTURE.md``,
-"Engine contract"), so outside ``src/repro/engine/``, ``wal/engine.py`` and
-``shard/engine.py`` nothing may:
+"Engine contract"), so outside ``src/repro/engine/`` and ``wal/engine.py``
+nothing may:
 
-* test ``isinstance(x, JournaledEngine)`` / ``isinstance(x, ShardedEngine)``
-  (also inside a tuple of types) — ask the contract instead;
+* test ``isinstance(x, JournaledEngine)`` (also inside a tuple of types)
+  — ask the contract instead;
 * read or write an underscore attribute of an engine (``engine._backend``,
   ``self.engine._rows_at_checkpoint``, ...);
 * ``getattr`` its way to engine or executor internals by name
@@ -27,12 +27,12 @@ import ast
 import sys
 from pathlib import Path
 
-BACKEND_CLASSES = {"JournaledEngine", "ShardedEngine"}
+BACKEND_CLASSES = {"JournaledEngine"}
 #: attribute names no caller may ``getattr`` off an engine or its executor
 #: (any underscore name is banned as well).
 REACH_THROUGHS = {"executor", "store", "journal", "checkpoints", "emits_deltas"}
 #: files (relative to the package root) that *are* the engine classes.
-ENGINE_MODULES = ("engine/", "wal/engine.py", "shard/engine.py")
+ENGINE_MODULES = ("engine/", "wal/engine.py")
 
 
 def _last_name(node: ast.expr) -> str | None:
