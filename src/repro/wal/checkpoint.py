@@ -69,9 +69,8 @@ class CheckpointManager:
         manifest = self.directory / _SHARDED_MANIFEST
         if manifest.exists():
             raise StorageError(
-                f"{self.directory} holds {manifest.name}, the sharded layout, "
-                "which is no longer supported; recover it with a release that "
-                "still ships the sharded engine, or replay its logs into a "
+                f"{self.directory} holds {manifest.name}: the sharded layout "
+                "is no longer supported; replay its update history into a "
                 "fresh directory"
             )
         self.checkpoint_path = self.directory / CHECKPOINT_FILE
