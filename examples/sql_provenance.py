@@ -5,20 +5,22 @@ Demonstrates the textual pipeline a downstream user would adopt:
 1. declare a schema and load rows;
 2. run an annotated SQL script (the hyperplane fragment of Section 2);
 3. inspect the annotated rows, minimized per Proposition 5.5;
-4. snapshot the annotated database to sqlite and answer a what-if from
-   the snapshot alone — no engine, no log, no re-run.
+4. save the annotated database as JSON (the payload a server's ``state``
+   reply carries) and answer a what-if from the file alone — no engine,
+   no log, no re-run.
 
 Run:  python examples/sql_provenance.py
 """
 
+import json
 import tempfile
 from pathlib import Path
 
 from repro import Database, Engine
-from repro.core import minimize
+from repro.core import evaluate, minimize
 from repro.lang import format_sql_script, parse_sql_script
 from repro.semantics import BooleanStructure
-from repro.storage import AnnotatedSnapshot, load_snapshot, save_snapshot
+from repro.shard.codec import decode_capture, encode_capture
 
 SCRIPT = """
 -- seasonal maintenance, one annotated transaction per business action
@@ -60,16 +62,17 @@ def main() -> None:
 
     # Persist the annotated state and throw the engine away.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "inventory.provenance.sqlite"
-        save_snapshot(AnnotatedSnapshot.from_engine(engine, meta={"script": "seasonal"}), path)
+        path = Path(tmp) / "inventory.provenance.json"
+        path.write_text(json.dumps(encode_capture(engine.capture())))
         print(f"\nsnapshot saved to {path.name} ({path.stat().st_size} bytes)")
 
-        snapshot = load_snapshot(path)
+        snapshot = decode_capture(json.loads(path.read_text()))
         # Offline what-if: abort the clearance transaction.
-        values = snapshot.specialize(BooleanStructure(), lambda name: name != "clearance")
+        structure = BooleanStructure()
+        kept = lambda name: name != "clearance"  # noqa: E731
         print("inventory had 'clearance' never run (answered from the snapshot):")
-        for row, present in sorted(values["inventory"].items(), key=repr):
-            if present:
+        for row, (expr, _live) in sorted(snapshot["inventory"].items(), key=repr):
+            if evaluate(expr, structure, kept):
                 print(f"  {row}")
 
 

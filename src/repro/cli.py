@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover = sub.add_parser(
         "recover", help="recover a journaled engine directory (checkpoint + log tail)"
     )
-    recover.add_argument("directory", help="directory holding checkpoint.sqlite + journal.log")
+    recover.add_argument("directory", help="directory holding checkpoint.json + journal.log")
     recover.add_argument(
         "--journal-sync",
         choices=["none", "flush", "fsync"],

@@ -1,6 +1,6 @@
 """The follower's shipping loop: bootstrap, stream, reconnect, resume.
 
-A follower is a journaled directory like any other — ``checkpoint.sqlite``
+A follower is a journaled directory like any other — ``checkpoint.json``
 plus ``journal.log`` — whose records arrive over TCP instead of from a
 local engine.  Bootstrap is therefore just :func:`recover` on that
 directory, fetching the primary's checkpoint first if the directory is
@@ -28,7 +28,6 @@ its snapshot every writer cycle.  The cost is bounded extra staleness
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import time
@@ -36,7 +35,13 @@ from pathlib import Path
 
 from ..errors import ReplicationError, ServerError
 from ..server.protocol import recv_frame, send_frame
-from ..wal.checkpoint import CHECKPOINT_FILE, DEFAULT_EVERY_RECORDS, JOURNAL_FILE
+from ..wal.checkpoint import (
+    CHECKPOINT_FILE,
+    DEFAULT_EVERY_RECORDS,
+    JOURNAL_FILE,
+    CheckpointManager,
+    write_atomic,
+)
 from ..wal.journal import parse_line
 from ..wal.recovery import recover
 from .apply import ShipmentApplier
@@ -52,12 +57,15 @@ DEFAULT_COALESCE_RECORDS = 512
 DEFAULT_COALESCE_DELAY = 0.05
 
 
-def fetch_checkpoint(primary: tuple[str, int], directory: str | Path) -> Path:
+def fetch_checkpoint(
+    primary: tuple[str, int], directory: str | Path, sync: str = "flush"
+) -> Path:
     """Fetch the primary's newest checkpoint into ``directory``.
 
-    Writes ``checkpoint.sqlite`` atomically and truncates ``journal.log``
-    (the checkpoint supersedes whatever tail a previous life left), so a
-    cut mid-transfer leaves the directory either untouched or fully
+    Writes ``checkpoint.json`` and an empty ``journal.log`` (the
+    checkpoint supersedes whatever tail a previous life left) through the
+    checkpoint's own atomic writer, synced under the ``fsync`` policy, so
+    a cut mid-transfer leaves the directory either untouched or fully
     bootstrapped — never half.
     """
     directory = Path(directory)
@@ -82,10 +90,9 @@ def fetch_checkpoint(primary: tuple[str, int], directory: str | Path) -> Path:
             chunks.append(chunk)
             remaining -= len(chunk)
     target = directory / CHECKPOINT_FILE
-    staging = directory / (CHECKPOINT_FILE + ".fetch")
-    staging.write_bytes(b"".join(chunks))
-    os.replace(staging, target)
-    (directory / JOURNAL_FILE).write_bytes(b"")
+    fsync = sync == "fsync"
+    write_atomic(target, b"".join(chunks), fsync=fsync)
+    write_atomic(directory / JOURNAL_FILE, b"", fsync=fsync)
     return target
 
 
@@ -127,8 +134,8 @@ class FollowerCore:
         Returns the engine in follower mode: from here on its journal is
         fed by shipped frames only, sequenced by the :class:`ShipmentApplier`.
         """
-        if not (self.directory / CHECKPOINT_FILE).exists():
-            fetch_checkpoint(self.primary, self.directory)
+        if not CheckpointManager(self.directory).has_checkpoint():
+            fetch_checkpoint(self.primary, self.directory, sync=self.sync)
         engine = recover(
             self.directory, sync=self.sync, checkpoint_every=self.checkpoint_every
         )

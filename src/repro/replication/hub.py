@@ -21,8 +21,8 @@ raw journal bytes for data)::
     follower -> {"op": "sync", "from_seq": N}      # N = -1: no local state
     primary  -> {"ok": true, "mode": "stream", "from_seq": N}
                 <raw journal lines, verbatim, forever>
-             or {"ok": true, "mode": "checkpoint", "size": B, "seq": S}
-                <B bytes of checkpoint.sqlite>
+             or {"ok": true, "mode": "checkpoint", "size": B}
+                <B bytes of checkpoint.json>
                 # follower recovers locally, then sends a fresh sync on
                 # the same connection.
 """

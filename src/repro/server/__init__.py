@@ -10,7 +10,7 @@ section) and ``docs/OPERATIONS.md`` for deployment semantics.
 from .client import ServerClient
 from .protocol import DEFAULT_PORT, MAX_FRAME, encode_frame, read_frame, recv_frame, send_frame
 from .server import ProvenanceServer, ServerHandle, serve_in_thread
-from .service import ProvenanceService, ServerConfig, Snapshot, build_engine
+from .service import ProvenanceService, ServerConfig, build_engine
 
 __all__ = [
     "DEFAULT_PORT",
@@ -20,7 +20,6 @@ __all__ = [
     "ServerClient",
     "ServerConfig",
     "ServerHandle",
-    "Snapshot",
     "build_engine",
     "encode_frame",
     "read_frame",

@@ -315,7 +315,7 @@ class ProvenanceServer:
         return {
             "ok": True,
             "version": snapshot.version,
-            "rows": encode_capture({relation: snapshot.state[relation]}),
+            "rows": encode_capture({relation: snapshot.relations[relation]}),
         }
 
     async def _op_state(self, _request: dict, _conn: _Connection) -> dict:
@@ -323,7 +323,7 @@ class ProvenanceServer:
         return {
             "ok": True,
             "version": snapshot.version,
-            "relations": encode_capture(snapshot.state),
+            "relations": encode_capture(snapshot.relations),
         }
 
     async def _op_annotation_of(self, request: dict, _conn: _Connection) -> dict:
@@ -332,7 +332,7 @@ class ProvenanceServer:
         if not isinstance(row, list):
             raise ServerError("annotation_of needs a 'row' list")
         snapshot = await self.service.snapshot()
-        entry = snapshot.state[relation].get(tuple(row))
+        entry = snapshot.relations[relation].get(tuple(row))
         expr = entry[0] if entry is not None else None
         return {
             "ok": True,
@@ -367,7 +367,7 @@ class ProvenanceServer:
                 for row, (expr, _live) in rows.items()
                 if expr is not None
             ]
-            for name, rows in snapshot.state.items()
+            for name, rows in snapshot.relations.items()
         }
         return {"ok": True, "version": snapshot.version, "values": values}
 

@@ -14,13 +14,14 @@ dedicated one-thread executor:
   ``admission_max=1`` the service degrades to per-call dispatch — the
   baseline ``repro figure server`` measures against.
 * provenance reads never touch the engine.  They are answered from
-  **versioned immutable snapshots**: row-keyed
-  :meth:`~repro.store.annotation_store.AnnotationStore.state`-style
-  captures published by the writer at quiescent points (between admitted
-  groups, never inside one).  A reader that finds the published snapshot
-  stale enqueues one coalesced ``capture`` admission and awaits it; any
-  number of readers then share the same immutable capture, so readers
-  never block the writer and never observe a half-applied batch.
+  **versioned immutable snapshots**
+  (:class:`~repro.storage.snapshot.Snapshot`: an engine capture stamped
+  with its version and journal sequence) published by the writer at
+  quiescent points (between admitted groups, never inside one).  A
+  reader that finds the published snapshot stale enqueues one coalesced
+  ``capture`` admission and awaits it; any number of readers then share
+  the same immutable capture, so readers never block the writer and
+  never observe a half-applied batch.
 
 The engine, the expression intern table and the rewrite memos are only
 ever *written* by the writer thread; snapshots cross to reader tasks as
@@ -33,20 +34,21 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
-from ..core.expr import Expr, intern_table_size
+from ..core.expr import intern_table_size
 from ..db.database import Database
 from ..engine.engine import Engine
 from ..errors import EngineError, ServerError
 from ..queries.pattern import Pattern
 from ..queries.updates import Transaction, UpdateQuery
 from ..shard.codec import capture_engine
+from ..storage.snapshot import Snapshot
 from ..views import DeltaBuffer, StandingView, ViewRegistry
 from ..wal.checkpoint import DEFAULT_EVERY_RECORDS, CheckpointManager
 from ..wal.engine import JournaledEngine
 
-__all__ = ["ProvenanceService", "ServerConfig", "Snapshot", "build_engine"]
+__all__ = ["ProvenanceService", "ServerConfig", "build_engine"]
 
 
 @dataclass
@@ -70,20 +72,6 @@ class ServerConfig:
     #: client is told it lagged and must re-subscribe; see
     #: ``docs/OPERATIONS.md``).
     push_backlog: int = 1024
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One immutable published observation of the engine.
-
-    ``state`` is the row-keyed ``{relation: {row: (expression, live)}}``
-    capture (``None`` expressions under the provenance-free policy) taken
-    at a quiescent point; ``version`` counts the apply admissions folded
-    in, so two snapshots with equal versions hold identical state.
-    """
-
-    version: int
-    state: Mapping[str, Mapping[tuple, tuple["Expr | None", bool]]]
 
 
 @dataclass
@@ -558,7 +546,11 @@ class ProvenanceService:
 
     def _capture(self) -> Snapshot:
         """Capture and publish a snapshot (writer thread, quiescent point)."""
-        snapshot = Snapshot(version=self._version, state=capture_engine(self.engine))
+        snapshot = Snapshot(
+            version=self._version,
+            seq=self.engine.last_seq,
+            relations=capture_engine(self.engine),
+        )
         self._snapshot = snapshot
         self.counters.captures += 1
         return snapshot

@@ -15,7 +15,7 @@ reusing codecs that already exist for durability:
   integer root, so structure shared across rows ships once and even
   naive-policy expressions ship in space proportional to their DAG size.
   The same payload answers the service's ``state``, ``provenance`` and
-  ``subscribe`` ops;
+  ``subscribe`` ops, and is the body of a WAL ``checkpoint.json``;
 * **tuple variables** travel as ``[relation, row, name]`` triples
   (:func:`encode_tuple_vars`).
 
@@ -40,6 +40,7 @@ from ..core.expr import Expr
 from ..queries.updates import Transaction, UpdateQuery
 from ..errors import StorageError
 from ..storage.exprjson import exprs_from_arena, exprs_to_arena
+from ..storage.snapshot import Capture
 from ..workloads.logs import query_from_dict, query_to_dict
 
 __all__ = [
@@ -53,12 +54,6 @@ __all__ = [
     "exprs_of",
     "items_to_events",
 ]
-
-#: Per-relation ``{row: (expression, live)}`` — the row-id-free view the
-#: bit-identity checks compare (expression-valued, whatever the policy
-#: stores internally; ``None`` for the provenance-free vanilla policy).
-Capture = dict[str, dict[tuple, tuple["Expr | None", bool]]]
-
 
 def items_to_events(
     items: Iterable[UpdateQuery | Transaction],

@@ -1,23 +1,14 @@
-"""Serialization and persistence: the expression codec, sqlite snapshots, CSV."""
+"""Serialization: the expression codec, the snapshot value, CSV."""
 
 from .csvio import dump_csv, load_csv
 from .exprjson import expr_from_dict, expr_to_dict
-from .snapshot import (
-    AnnotatedSnapshot,
-    load_snapshot,
-    restore_executor,
-    save_snapshot,
-    store_from_snapshot,
-)
+from .snapshot import Capture, Snapshot
 
 __all__ = [
-    "AnnotatedSnapshot",
+    "Capture",
+    "Snapshot",
     "dump_csv",
     "expr_from_dict",
     "expr_to_dict",
     "load_csv",
-    "load_snapshot",
-    "restore_executor",
-    "save_snapshot",
-    "store_from_snapshot",
 ]

@@ -1,7 +1,7 @@
 """The expression codec: one shared postorder node table for many roots.
 
 Every set of UP[X] expressions that leaves the process — a wire capture,
-a pushed delta batch, a sqlite checkpoint — is
+a pushed delta batch, a checkpoint — is
 encoded by :func:`exprs_to_arena` as one JSON-ready node table::
 
     {"nodes": [["var", "a"], ["var", "p"], ["+I", 0, 1], ["-", 2, 1], ...]}

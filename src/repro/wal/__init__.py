@@ -4,9 +4,10 @@ The paper's engine is defined by its update log — provenance is the
 algebraic residue of a sequence of hyperplane updates — so durability is
 log-shaped too: journal every update as it is applied
 (:mod:`~repro.wal.journal`), periodically checkpoint the full annotated
-state through :class:`~repro.storage.snapshot.AnnotatedSnapshot` and
-truncate the journal (:mod:`~repro.wal.checkpoint`), and recover by
-loading the newest checkpoint and replaying only the log tail
+state as one ``checkpoint.json`` (the capture payload a ``state`` reply
+carries, under a resume header) and truncate the journal
+(:mod:`~repro.wal.checkpoint`), and recover by loading the newest
+checkpoint and replaying only the log tail
 (:mod:`~repro.wal.recovery`).  See the durability section of
 ``docs/ARCHITECTURE.md`` for the record format and the recovery
 invariant.

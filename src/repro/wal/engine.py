@@ -18,7 +18,7 @@ accounting differs).
 
 Only policies whose annotation slots are plain UP[X] expressions can be
 journaled with checkpoints — ``naive`` and ``normal_form_batch`` — since
-only those resume from an expression snapshot (``normal_form`` keeps
+only those resume from an expression checkpoint (``normal_form`` keeps
 Theorem 5.3 state machines, ``none`` keeps no provenance at all).  To
 journal any other policy without checkpoint/recover support, pass a bare
 :class:`Journal` to ``Engine(journal=...)`` directly.
@@ -39,7 +39,7 @@ from .journal import BATCH_END, QUERY, TXN_END, Journal, records_to_events
 
 __all__ = ["JournaledEngine", "RESUMABLE_POLICIES"]
 
-#: Policies whose checkpoints can be resumed (see ``restore_executor``).
+#: Policies whose checkpoints can be resumed (see ``repro.wal.recovery``).
 RESUMABLE_POLICIES = ("naive", "no_axioms", "normal_form_batch")
 
 

@@ -4,8 +4,9 @@
 from a durable directory alone:
 
 1. load the newest checkpoint (atomic, so it is always complete);
-2. restore the executor from it — rows, annotations, liveness,
-   initial-tuple variable names, engine counters, planner counters;
+2. restore the executor from it — the node table decodes once and each
+   row goes straight into a fresh store with its annotation and
+   liveness; then initial-tuple variable names and engine counters;
 3. scan the journal, truncating a torn final record cleanly;
 4. replay every record with ``seq > checkpoint.journal_seq`` through the
    ordinary engine machinery (transaction-end hooks fire at their
@@ -26,9 +27,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from ..engine.executors import Executor
+from ..db.database import Database
+from ..db.schema import Relation, Schema
+from ..engine.engine import make_executor
+from ..engine.executors import Executor, NaiveExecutor
 from ..engine.stats import EngineStats
-from ..storage.snapshot import restore_executor
+from ..errors import StorageError
+from ..shard.codec import decode_tuple_vars
+from ..storage.exprjson import exprs_from_arena
+from ..store.annotation_store import AnnotationStore
 from .checkpoint import DEFAULT_EVERY_RECORDS, CheckpointManager
 from .engine import JournaledEngine
 from .journal import scan_journal, truncate_torn_tail
@@ -83,6 +90,41 @@ class _ResumeState:
     next_seq_base: int
 
 
+def _restore_executor(checkpoint: dict, policy: str, source: Path) -> Executor:
+    """An executor resuming from a loaded checkpoint's annotated state.
+
+    Only policies whose annotation slots hold plain UP[X] expressions can
+    resume — ``naive`` and ``normal_form_batch`` (the incremental
+    ``normal_form`` policy keeps Theorem 5.3 state machines that a
+    detached expression does not determine).  Row ids and the per-column
+    indexes are storage artifacts, rebuilt here by one
+    :meth:`RelationStore.add` per stored row.
+    """
+    try:
+        schema = Schema(
+            [Relation(name, attributes) for name, attributes in checkpoint["schema"].items()]
+        )
+        relations = checkpoint["relations"]
+        roots = [root for rows in relations.values() for _row, root, _live in rows]
+        exprs = iter(exprs_from_arena(checkpoint["exprs"], roots))
+        executor = make_executor(Database(schema), policy)
+        if not isinstance(executor, NaiveExecutor):  # includes normal_form_batch
+            raise StorageError(
+                f"policy {policy!r} cannot resume from an expression checkpoint; "
+                "use 'naive' or 'normal_form_batch'"
+            )
+        store = AnnotationStore(schema)
+        for name, rows in relations.items():
+            add = store.relation(name).add
+            for row, _root, live in rows:
+                add(tuple(row), next(exprs), bool(live))
+        executor.store = store
+        executor._tuple_vars = decode_tuple_vars(checkpoint.get("tuple_vars", []))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"corrupt checkpoint {source}: {exc!r}") from exc
+    return executor
+
+
 def recover(
     directory: str | Path,
     sync: str = "flush",
@@ -101,20 +143,16 @@ def recover(
     manager = CheckpointManager(
         directory, every_records=checkpoint_every, every_rows=checkpoint_rows
     )
-    snapshot = manager.load()
-    policy = str(snapshot.meta["policy"])
-    checkpoint_seq = int(snapshot.meta["journal_seq"])
-
-    executor = restore_executor(snapshot, policy)
-    tuple_vars: dict[str, dict[tuple, str]] = {}
-    for relation, row, name in snapshot.meta.get("tuple_vars", []):
-        tuple_vars.setdefault(str(relation), {})[tuple(row)] = str(name)
-    executor._tuple_vars = tuple_vars
+    checkpoint = manager.load()
+    policy = str(checkpoint["policy"])
+    checkpoint_seq = int(checkpoint["journal_seq"])
+    executor = _restore_executor(checkpoint, policy, manager.checkpoint_path)
     # The restored planner totals become the stats' baseline offset: the
     # rebuilt store's own counters restart at zero and honestly count only
     # post-recovery matchings; EngineStats.sync_planner adds the baseline
     # so the engine-level lifetime totals continue across the crash.
-    stats = EngineStats.restore(snapshot.meta.get("stats"))
+    stats = EngineStats.restore(checkpoint.get("stats"))
+    del checkpoint  # the decoded store holds everything it carried
 
     scan = scan_journal(manager.journal_path)
     torn_dropped = truncate_torn_tail(manager.journal_path, scan)

@@ -206,3 +206,42 @@ class TestEngineApi:
         e.apply(Transaction("p", [Delete("R", Pattern(1, eq={0: "a"}))]))
         db = e.specialized_database(BooleanStructure(), lambda name: True)
         assert db.rows("R") == {("b",)}
+
+    def _history_engine(self):
+        db = unary_db(1, 2, 3)
+        log = [
+            Transaction("t1", [Modify("R", Pattern(1, eq={0: 1}), {0: 2})]),
+            Transaction("t2", [Delete("R", Pattern(1, eq={0: 3})), Insert("R", (9,))]),
+        ]
+        return Engine(db, policy="normal_form").apply(log)
+
+    def test_capture_holds_the_live_database(self):
+        e = self._history_engine()
+        capture = e.capture()
+        live = Database(e.schema)
+        live.extend("R", (row for row, (_expr, alive) in capture["R"].items() if alive))
+        assert live.same_contents(e.result())
+        assert sum(len(rows) for rows in capture.values()) == e.support_count()
+
+    def test_specialize_offline(self):
+        """Specialization answers what-ifs without re-running the log."""
+        from repro.semantics.boolean import BooleanStructure
+
+        values = self._history_engine().specialize(
+            BooleanStructure(), lambda name: name != "t2"
+        )
+        # t2 aborted: (3,) was deleted by t2 only, so it survives.
+        assert values["R"][(3,)] is True
+        assert values["R"][(9,)] is False  # inserted by t2
+
+    def test_minimized_captures_keep_their_meaning(self):
+        """Proposition 5.5 minimization never grows an annotation and keeps
+        its meaning (hence the live rows) under Boolean specialization."""
+        from repro.core.minimize import minimize
+
+        e = self._history_engine()
+        for rows in e.capture().values():
+            for expr, _live in rows.values():
+                smaller = minimize(expr)
+                assert smaller.size() <= expr.size()
+                assert equivalent_boolean(smaller, expr)

@@ -16,6 +16,7 @@ bootstrapped, never half.
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -28,6 +29,7 @@ from repro.engine.oracle import assert_bit_identical
 from repro.errors import ReplicationError, ServerError
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Delete, Insert, Modify, Transaction
+from repro.replication import follower as follower_module
 from repro.replication.follower import FollowerCore, fetch_checkpoint
 from repro.replication.hub import ReplicationHub, ReplicationListener
 from repro.server.protocol import encode_frame
@@ -350,3 +352,33 @@ def test_listener_stop_wakes_accept_and_joins_every_thread(tmp_path):
         assert not runner.is_alive()
         core.close()
         engine.close()
+
+
+@pytest.mark.parametrize("sync, expected_fsyncs", [("fsync", 4), ("flush", 0)])
+def test_bootstrap_fetch_follows_the_sync_policy(
+    tmp_path, primary, monkeypatch, sync, expected_fsyncs
+):
+    """Under ``fsync`` the fetched checkpoint and the emptied journal are
+    each synced, file and directory entry, before recovery reads them."""
+    _engine, listener = primary
+    synced: list[int] = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd: int) -> None:
+        synced.append(fd)
+        real_fsync(fd)
+
+    class Fetched(Exception):
+        pass
+
+    def stop_after_fetch(*_args, **_kwargs):
+        raise Fetched
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    monkeypatch.setattr(follower_module, "recover", stop_after_fetch)
+    directory = tmp_path / "follower"
+    with pytest.raises(Fetched):
+        FollowerCore(directory, listener.address, sync=sync).bootstrap()
+    assert len(synced) == expected_fsyncs
+    assert (directory / CHECKPOINT_FILE).exists()
+    assert (directory / JOURNAL_FILE).read_bytes() == b""

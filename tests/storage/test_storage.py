@@ -1,9 +1,6 @@
-"""Serialization: the expression codec, sqlite snapshots, CSV I/O."""
+"""Serialization: the expression codec and CSV I/O."""
 
 import json
-import re
-import sqlite3
-from contextlib import closing
 
 import pytest
 
@@ -11,18 +8,8 @@ from repro.core.expr import ZERO, dag_size, minus, plus_i, plus_m, ssum, times_m
 from repro.db.database import Database
 from repro.engine.engine import Engine
 from repro.errors import StorageError
-from repro.queries.pattern import Pattern
-from repro.queries.updates import Delete, Insert, Modify, Transaction
 from repro.shard.codec import decode_capture, encode_capture
-from repro.storage import (
-    AnnotatedSnapshot,
-    dump_csv,
-    expr_from_dict,
-    expr_to_dict,
-    load_csv,
-    load_snapshot,
-    save_snapshot,
-)
+from repro.storage import dump_csv, expr_from_dict, expr_to_dict, load_csv
 from repro.storage.exprjson import exprs_from_arena, exprs_to_arena
 
 A, B, P = var("a"), var("b"), var("p")
@@ -138,144 +125,6 @@ class TestExprJson:
         payload = {"nodes": [["zero"], ["var", "p"], ["+I", 0, 1]], "root": 2}
         assert expr_from_dict(payload) is var("p")
         assert exprs_from_arena(payload, [2, 0]) == [var("p"), ZERO]
-
-
-class TestSnapshot:
-    def make_engine(self):
-        db = Database.from_rows("R", ["v"], [(1,), (2,), (3,)])
-        log = [
-            Transaction("t1", [Modify("R", Pattern(1, eq={0: 1}), {0: 2})]),
-            Transaction("t2", [Delete("R", Pattern(1, eq={0: 3})), Insert("R", (9,))]),
-        ]
-        return db, Engine(db, policy="normal_form").apply(log)
-
-    def test_from_engine_and_live_database(self):
-        _db, engine = self.make_engine()
-        snap = AnnotatedSnapshot.from_engine(engine, meta={"k": 1})
-        assert snap.live_database().same_contents(engine.result())
-        assert snap.meta == {"k": 1}
-        assert snap.row_count() == engine.support_count()
-
-    def test_sqlite_round_trip(self, tmp_path):
-        _db, engine = self.make_engine()
-        snap = AnnotatedSnapshot.from_engine(engine)
-        path = tmp_path / "snap.sqlite"
-        save_snapshot(snap, path)
-        again = load_snapshot(path)
-        assert again == snap
-        assert again.live_database().same_contents(engine.result())
-
-    def test_save_replaces_existing_file(self, tmp_path):
-        _db, engine = self.make_engine()
-        snap = AnnotatedSnapshot.from_engine(engine)
-        path = tmp_path / "snap.sqlite"
-        save_snapshot(snap, path)
-        save_snapshot(snap, path)  # no error, clean overwrite
-        assert load_snapshot(path) == snap
-
-    def test_save_is_atomic_on_serialization_failure(self, tmp_path):
-        """A failing save can never destroy the last good snapshot."""
-        _db, engine = self.make_engine()
-        good = AnnotatedSnapshot.from_engine(engine, meta={"generation": 1})
-        path = tmp_path / "snap.sqlite"
-        save_snapshot(good, path)
-        bad = AnnotatedSnapshot.from_engine(engine, meta={"handle": object()})
-        with pytest.raises(StorageError, match="JSON-serializable"):
-            save_snapshot(bad, path)
-        # The old file is intact and no temp debris is left behind.
-        assert load_snapshot(path) == good
-        assert load_snapshot(path).meta == {"generation": 1}
-        assert [p.name for p in tmp_path.iterdir()] == ["snap.sqlite"]
-
-    def test_unserializable_meta_raises_storage_error(self, tmp_path):
-        _db, engine = self.make_engine()
-        snap = AnnotatedSnapshot.from_engine(engine, meta={"handle": {1, 2}})
-        with pytest.raises(StorageError, match="JSON-serializable"):
-            save_snapshot(snap, tmp_path / "snap.sqlite")
-
-    def test_set_normalizes_rows_like_database_insert(self):
-        """`set` stores the checked tuple, so list rows land as tuples."""
-        _db, engine = self.make_engine()
-        snap = AnnotatedSnapshot.from_engine(engine)
-        snap.set("R", [7], var("x"), True)
-        assert snap.annotation("R", (7,)) is var("x")
-        assert (7,) in {row for row, _e, _l in snap.items("R")}
-
-    def test_load_missing_file(self, tmp_path):
-        with pytest.raises(StorageError, match="no snapshot"):
-            load_snapshot(tmp_path / "void.sqlite")
-
-    def test_load_corrupt_file(self, tmp_path):
-        path = tmp_path / "bad.sqlite"
-        path.write_text("this is not sqlite")
-        with pytest.raises(StorageError):
-            load_snapshot(path)
-
-    def test_one_node_table_per_snapshot(self, tmp_path):
-        _db, engine = self.make_engine()
-        snap = AnnotatedSnapshot.from_engine(engine)
-        path = tmp_path / "snap.sqlite"
-        save_snapshot(snap, path)
-        with closing(sqlite3.connect(path)) as conn:
-            (nodes,) = conn.execute("SELECT nodes FROM exprs").fetchone()
-        exprs = [expr for name in snap.schema.names for _row, expr, _live in snap.items(name)]
-        assert len(json.loads(nodes)) == dag_size(exprs)
-
-    def test_load_rejects_malformed_node_table(self, tmp_path):
-        _db, engine = self.make_engine()
-        path = tmp_path / "snap.sqlite"
-        for nodes, root in MALFORMED_TABLES.values():
-            save_snapshot(AnnotatedSnapshot.from_engine(engine), path)
-            with closing(sqlite3.connect(path)) as conn, conn:
-                conn.execute("UPDATE exprs SET nodes = ?", (json.dumps(nodes),))
-                conn.execute("UPDATE rows SET root = ?", (root,))
-            with pytest.raises(StorageError, match="corrupt snapshot"):
-                load_snapshot(path)
-
-    def test_load_refuses_the_per_row_layout(self, tmp_path):
-        """A checkpoint from before the shared node table (one expression
-        table per row, no format marker) is refused, naming the file."""
-        path = tmp_path / "old.sqlite"
-        with closing(sqlite3.connect(path)) as conn, conn:
-            conn.executescript(
-                """
-                CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
-                CREATE TABLE relations (name TEXT PRIMARY KEY, attributes TEXT NOT NULL);
-                CREATE TABLE rows (relation TEXT, row TEXT, live INTEGER, expr TEXT);
-                INSERT INTO relations VALUES ('R', '["v"]');
-                """
-            )
-            conn.execute(
-                "INSERT INTO rows VALUES ('R', '[1]', 1, ?)", (json.dumps(expr_to_dict(P)),)
-            )
-        with pytest.raises(StorageError, match=f"{re.escape(str(path))}.*replaying"):
-            load_snapshot(path)
-
-    def test_specialize_offline(self):
-        """A snapshot answers what-ifs without the engine."""
-        db, engine = self.make_engine()
-        snap = AnnotatedSnapshot.from_engine(engine)
-        from repro.semantics.boolean import BooleanStructure
-
-        values = snap.specialize(BooleanStructure(), lambda name: name != "t2")
-        # t2 aborted: (3,) was deleted by t2 only, so it survives.
-        assert values["R"][(3,)] is True
-        assert values["R"][(9,)] is False  # inserted by t2
-
-    def test_minimized_preserves_live_rows(self):
-        _db, engine = self.make_engine()
-        snap = AnnotatedSnapshot.from_engine(engine)
-        mini = snap.minimized()
-        assert mini.live_database().same_contents(snap.live_database())
-        assert mini.provenance_size() <= snap.provenance_size()
-
-    def test_mv_snapshot_rejected(self):
-        db = Database.from_rows("R", ["v"], [(1,)])
-        engine = Engine(db, policy="mv_tree").apply(
-            Transaction("t", [Insert("R", (2,))])
-        )
-        with pytest.raises(StorageError, match="UP\\[X\\]"):
-            AnnotatedSnapshot.from_engine(engine)
 
 
 class TestCsv:

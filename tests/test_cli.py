@@ -83,6 +83,20 @@ def test_sharded_directory_is_refused_by_name(tmp_path, capsys):
     assert [path.name for path in directory.iterdir()] == ["shards.json"]
 
 
+def test_sqlite_checkpoint_is_refused_by_name(tmp_path, capsys):
+    """A directory holding a retired SQLite checkpoint is never read as
+    empty: recover and serve both exit 2 naming the file."""
+    directory = tmp_path / "state"
+    directory.mkdir()
+    marker = directory / "checkpoint.sqlite"
+    marker.write_bytes(b"SQLite format 3\x00")
+    assert main(["recover", str(directory)]) == 2
+    served = _serve_refused([str(directory), "--schema", "items:sku,qty", "--port", "0"])
+    for err in (capsys.readouterr().err, served):
+        assert str(marker) in err and "no longer supported" in err
+    assert [path.name for path in directory.iterdir()] == ["checkpoint.sqlite"]
+
+
 def test_serve_plain_backend_refuses_a_directory(tmp_path):
     directory = tmp_path / "state"
     err = _serve_refused([

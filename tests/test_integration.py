@@ -5,9 +5,9 @@ from repro.db.database import Database
 from repro.engine.engine import Engine
 from repro.lang.sql import parse_sql_script
 from repro.semantics.boolean import BooleanStructure
-from repro.storage import AnnotatedSnapshot, load_snapshot, save_snapshot
 from repro.tpcc.driver import generate_tpcc
 from repro.tpcc.loader import TPCCScale
+from repro.wal import JournaledEngine, recover
 from repro.workloads.logs import UpdateLog, log_from_json, log_to_json
 from repro.workloads.synthetic import synthetic_workload
 
@@ -44,13 +44,13 @@ def test_sql_to_provenance_to_whatif(tmp_path):
     r2 = Engine(db, policy="none").apply(log2).result()
     assert r1.same_contents(r2)
 
-    # Track provenance, snapshot it, reload it, and answer an abortion
-    # what-if offline from the snapshot.
-    engine = Engine(db, policy="normal_form").apply(log)
-    snapshot = AnnotatedSnapshot.from_engine(engine)
-    path = tmp_path / "state.sqlite"
-    save_snapshot(snapshot, path)
-    reloaded = load_snapshot(path)
+    # Track provenance durably, recover it from its checkpoint alone, and
+    # answer an abortion what-if from the recovered engine.
+    directory = tmp_path / "state"
+    with JournaledEngine(db, directory, policy="normal_form_batch") as engine:
+        engine.apply(log)
+    reloaded = recover(directory)
+    assert reloaded.recovery.tail_records == 0
     values = reloaded.specialize(BooleanStructure(), lambda name: name != "p")
     survived = {row for row, value in values["products"].items() if value}
     aborted = TransactionAbortion(db, log).baseline(["p"])

@@ -18,6 +18,7 @@ from repro.errors import EngineError, QueryError, StorageError
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Delete, Insert, Modify, Transaction
 from repro.wal import JournaledEngine, recover, scan_journal
+from repro.wal.checkpoint import CHECKPOINT_FILE
 from repro.wal.journal import records_to_events
 
 POLICIES = ["naive", "normal_form_batch"]
@@ -115,12 +116,12 @@ class TestRecoveryInvariant:
         engine.apply(sample_log())
         engine.journal.close()
         data = (directory / "journal.log").read_bytes()
-        checkpoint_bytes = (directory / "checkpoint.sqlite").read_bytes()
+        checkpoint_bytes = (directory / CHECKPOINT_FILE).read_bytes()
 
         for cut in range(len(data) + 1):
             crashed = tmp_path / f"crash-{cut}"
             crashed.mkdir()
-            (crashed / "checkpoint.sqlite").write_bytes(checkpoint_bytes)
+            (crashed / CHECKPOINT_FILE).write_bytes(checkpoint_bytes)
             (crashed / "journal.log").write_bytes(data[:cut])
             recovered = recover(crashed)
             # Expected: replay exactly the surviving record prefix.
