@@ -67,10 +67,18 @@ def test_round_trip_is_bit_identical(engine):
     recovered = recover(directory_of(engine))
     assert recovered.recovery.tail_records == 0
     assert_bit_identical(recovered, engine)
-    # Tombstones made it across (modified/deleted rows are dead but stored).
-    assert recovered.live_count() < recovered.support_count() == engine.support_count()
+    assert recovered.result().same_contents(engine.result())
     # The body is the state reply's payload: it decodes to the same capture.
     assert_bit_identical(decode_capture(read_checkpoint(engine)), engine)
+    recovered.journal.close()
+
+
+def test_round_trip_keeps_tombstones_and_counts(engine):
+    """Modified and deleted rows are dead but stored; both counts survive."""
+    recovered = recover(directory_of(engine))
+    assert recovered.support_count() == engine.support_count()
+    assert recovered.live_count() == engine.live_count()
+    assert recovered.live_count() < recovered.support_count()
     recovered.journal.close()
 
 
@@ -86,9 +94,8 @@ def test_write_replaces_the_previous_checkpoint(engine):
 
 
 def test_failed_write_keeps_the_previous_checkpoint(engine, monkeypatch):
-    """An unserializable header raises StorageError, and the failed write
-    never destroys the last good checkpoint, never leaves temp debris,
-    and never truncates the journal it did not cover."""
+    """A failed write never destroys the last good checkpoint, never
+    leaves temp debris, and never truncates the journal it did not cover."""
     good = engine.checkpoints.checkpoint_path.read_bytes()
     engine.apply(Transaction("s", [Insert("R", (200, 200))]))
     monkeypatch.setattr(engine.stats, "snapshot", lambda: {"handle": object()})
@@ -99,6 +106,15 @@ def test_failed_write_keeps_the_previous_checkpoint(engine, monkeypatch):
         CHECKPOINT_FILE, JOURNAL_FILE,
     ]
     assert engine.journal.records_since_reset > 0
+
+
+def test_unserializable_header_raises_storage_error(engine, monkeypatch, tmp_path):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    monkeypatch.setattr(engine.stats, "snapshot", lambda: {"handle": {1, 2}})
+    with pytest.raises(StorageError, match="JSON-serializable"):
+        CheckpointManager(fresh).write(engine, engine.journal)
+    assert list(fresh.iterdir()) == []
 
 
 def test_load_missing_file(tmp_path):
