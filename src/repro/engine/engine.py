@@ -373,6 +373,9 @@ class Engine:
 
         Goes through :meth:`provenance` so the ``normal_form_batch``
         policy flushes first, exactly as before any other observation.
+        That is one flush per relation, but a flush normalises only the
+        rows touched since the previous one: the first read normalises
+        what the last update left pending, and the other R-1 find nothing.
         The vanilla policy captures ``None`` annotations (its support is
         its live rows; a uniform ``0`` would only inflate wire payloads).
         """

@@ -521,10 +521,13 @@ class BatchNormalFormExecutor(NaiveExecutor):
     Section 3.1 construction — O(1) smart-constructor appends per touched
     row, no per-update rule application — and the Theorem 5.3 rewrite runs
     once per :meth:`flush`: at transaction boundaries and before any
-    provenance is observed.  The flush uses the memoized replay normalizer
-    (:func:`repro.core.normalize.normalize_expr`), so bases shared across
-    rows and layers already normalized by earlier flushes are not rewritten
-    again — the amortized regime of Berkholz-style update processing.
+    provenance is observed.  A flush rewrites only the rows touched since
+    the previous one (each :class:`~repro.store.row_store.RowStore`'s dirty
+    set), so its cost follows the size of the update, not of the support —
+    the bar Berkholz-style update processing sets.  It uses the memoized
+    replay normalizer (:func:`repro.core.normalize.normalize_expr`), so
+    bases shared across rows and layers already normalized by earlier
+    flushes are not rewritten again.
 
     The flushed annotation of a row is UP[X]-equivalent to what
     :class:`NormalFormExecutor` maintains incrementally (both implement the
@@ -534,7 +537,13 @@ class BatchNormalFormExecutor(NaiveExecutor):
     policy = "normal_form_batch"
 
     def flush(self) -> None:
-        """Rewrite every stored annotation into its normal form, once.
+        """Rewrite every annotation touched since the last flush into its
+        normal form, once.
+
+        Untouched rows need no work: every stored annotation went through
+        a flush after its last mutation, annotations are immutable
+        interned DAGs, and a normal form is a fixed point of the
+        normalizer.
 
         Rows whose annotation normalizes to ``0`` and that are dead are
         dropped from the support: they are modification targets all of
@@ -546,15 +555,15 @@ class BatchNormalFormExecutor(NaiveExecutor):
         for name, store in self.store.relations():
             rows = store.rows
             dead_zero: list[tuple[int, tuple]] = []
-            for rid, row in rows.items():
+            for rid, row in rows.take_dirty():
                 old = rows.annotation(rid)
                 ann = normalize_expr(old)
                 if ann is not old:
-                    rows.set_annotation(rid, ann)
+                    rows.settle(rid, ann)
                     # Normalization over the hash-consed DAG is pure: an
                     # already-normal annotation comes back as the identical
                     # interned object, so only genuine rewrites reach the
-                    # delta sink (a flush must not spam O(support) deltas).
+                    # delta sink.
                     self._emit("annotation", name, row, ann, rows.is_live(rid))
                 if ann.is_zero and not rows.is_live(rid):
                     dead_zero.append((rid, row))

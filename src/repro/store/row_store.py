@@ -19,6 +19,14 @@ Two notions of absence coexist, mirroring the executor semantics:
 * a stored slot with ``live == False`` is a *tombstone*: it stays in the
   support (updates still match it; paper Figure 4) but is invisible to
   set semantics.
+
+Each store also keeps a *dirty set*: the values of the rows added or
+re-annotated (or whose liveness was set) since the last
+:meth:`RowStore.take_dirty`.  It is what makes the deferred policy's
+transaction-end flush proportional to the rows a transaction touched
+rather than to the support.  It is keyed by row value, not row id, so
+:meth:`RowStore.compact` renumbering cannot make it stale, and freeing a
+row removes it, so it never holds more entries than the support.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ class RowStore:
     interned :class:`~repro.core.expr.Expr` DAGs, normal forms).
     """
 
-    __slots__ = ("_rows", "_ann", "_live", "_id_of")
+    __slots__ = ("_rows", "_ann", "_live", "_id_of", "_dirty")
 
     def __init__(self):
         self._rows: list[tuple | None] = []
@@ -43,6 +51,8 @@ class RowStore:
         self._live: list[bool] = []
         #: row value -> row id, for rows currently in the support.
         self._id_of: dict[tuple, int] = {}
+        #: values of stored rows mutated since the last ``take_dirty()``.
+        self._dirty: set[tuple] = set()
 
     # -- mutation -------------------------------------------------------------
 
@@ -59,6 +69,7 @@ class RowStore:
         self._ann.append(ann)
         self._live.append(live)
         self._id_of[row] = rid
+        self._dirty.add(row)
         return rid
 
     def free(self, rid: int) -> tuple:
@@ -67,6 +78,7 @@ class RowStore:
         if row is None:
             raise ValueError(f"row id {rid} already freed")
         del self._id_of[row]
+        self._dirty.discard(row)
         self._rows[rid] = None
         self._ann[rid] = None
         self._live[rid] = False
@@ -92,9 +104,28 @@ class RowStore:
 
     def set_annotation(self, rid: int, ann: object) -> None:
         self._ann[rid] = ann
+        self._dirty.add(self._rows[rid])
 
     def set_live(self, rid: int, live: bool) -> None:
         self._live[rid] = live
+        self._dirty.add(self._rows[rid])
+
+    def settle(self, rid: int, ann: object) -> None:
+        """Replace an annotation with its flushed form, leaving the row clean.
+
+        The deferred policy's flush writes back normal forms through this:
+        normalizing a normal form again is a fixed point, so the rewrite
+        must not make the row pending for the next flush.
+        """
+        self._ann[rid] = ann
+
+    def take_dirty(self) -> list[tuple[int, tuple]]:
+        """``(rid, row)`` for every row mutated since the last call, in
+        ascending-id order; clears the dirty set."""
+        id_of = self._id_of
+        dirty = sorted((id_of[row], row) for row in self._dirty)
+        self._dirty.clear()
+        return dirty
 
     # -- access ---------------------------------------------------------------
 

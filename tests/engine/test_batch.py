@@ -192,3 +192,110 @@ def test_deferred_flush_on_observation():
             # A flushed annotation is normal-form shaped, not a raw chain:
             # the two same-pattern deletions collapse to the outermost one.
             assert expr.kind in ("-",)
+
+
+# -- the flush is proportional to the rows touched -------------------------------
+
+
+def count_normalizations(monkeypatch) -> list[int]:
+    """Count the flush's ``normalize_expr`` calls (one per row it rewrites)."""
+    import repro.engine.executors as executors
+
+    calls = [0]
+    normalize = executors.normalize_expr
+
+    def counted(expr):
+        calls[0] += 1
+        return normalize(expr)
+
+    monkeypatch.setattr(executors, "normalize_expr", counted)
+    return calls
+
+
+class TouchedRows:
+    """A delta sink keeping only which rows the executor mutated."""
+
+    def __init__(self):
+        self.rows: set[tuple[str, tuple]] = set()
+
+    def record(self, _kind, relation, row, _ann, _live) -> None:
+        self.rows.add((relation, row))
+
+
+def test_capture_normalises_only_rows_touched_since_the_last_flush(monkeypatch):
+    """A capture of R relations flushes once, not once per relation."""
+    database = Database.from_dict(
+        {f"R{i}": (["a", "b"], [(j, j % 3) for j in range(10)]) for i in range(4)}
+    )
+    engine = Engine(database, policy="normal_form_batch")
+    calls = count_normalizations(monkeypatch)
+    engine.capture()
+    assert calls[0] == engine.support_count() == 40  # every loaded row, once
+    touched = TouchedRows()
+    engine.attach_deltas(touched)
+    r2, r3 = database.schema.relation("R2"), database.schema.relation("R3")
+    calls[0] = 0
+    # Bare queries: no transaction end, so the rows stay pending until
+    # the capture observes them.
+    engine.apply(
+        [
+            Insert("R0", (99, 0), annotation="p"),  # a new row
+            Insert("R1", (0, 0), annotation="p"),  # a stored row
+            Delete.where(r2, {"b": 1}, annotation="p"),  # 3 rows
+            Modify.set(r3, {"b": 0}, where={"b": 2}, annotation="p"),  # 3 sources, 3 targets
+        ]
+    )
+    assert calls[0] == 0
+    assert len(touched.rows) == 11
+    engine.capture()
+    assert calls[0] == 11
+    calls[0] = 0
+    engine.capture()
+    assert calls[0] == 0
+
+
+def test_flush_normalises_exactly_the_rows_touched_since_the_previous(monkeypatch, workload):
+    database, log = workload
+    engine = Engine(database, policy="normal_form_batch")
+    engine.flush_pending()
+    touched = TouchedRows()
+    engine.attach_deltas(touched)
+    calls = count_normalizations(monkeypatch)
+    for transaction in log:
+        touched.rows.clear()
+        calls[0] = 0
+        engine.apply(transaction)  # flushes at the transaction end
+        # The flush's own rewrites and frees hit touched rows only, so
+        # every row the sink saw was touched by the transaction.
+        assert calls[0] == len(touched.rows)
+
+
+def test_flush_count_does_not_grow_with_the_untouched_support(monkeypatch):
+    """The same one-transaction update on the same hot groups normalises
+    the same rows over a 10x larger cold support."""
+    counts = []
+    for n_tuples in (400, 4000):
+        # Hot rows come first and draw the same values at both sizes.
+        config = SyntheticConfig(n_tuples=n_tuples, n_groups=6, group_size=4, seed=13)
+        database = synthetic_database(config)
+        relation = database.schema.relation("synthetic")
+        update = Transaction(
+            "u",
+            [
+                Modify.set(relation, {"v0": 7}, where={"grp": 0}),
+                Delete.where(relation, {"grp": 1}),
+                Insert("synthetic", (10**6, 2, 1, 2, 3)),
+            ],
+        )
+        engine = Engine(database, policy="normal_form_batch")
+        engine.flush_pending()
+        touched = TouchedRows()
+        engine.attach_deltas(touched)
+        calls = count_normalizations(monkeypatch)
+        engine.apply(update)
+        assert engine.support_count() >= n_tuples
+        assert calls[0] == len(touched.rows)
+        counts.append(calls[0])
+        monkeypatch.undo()
+    # Group 0: 4 sources and up to 4 targets; group 1: 4 deletions; 1 insert.
+    assert 9 <= counts[0] == counts[1] <= 13

@@ -61,6 +61,87 @@ class TestRowStore:
         assert rows.rid_of(("a",)) == rid == 1
 
 
+class TestDirtySet:
+    def test_mutations_mark_rows_dirty_and_take_clears(self):
+        rows = RowStore()
+        a, b, c = (rows.add((i,), ann="x") for i in range(3))
+        assert rows.take_dirty() == [(a, (0,)), (b, (1,)), (c, (2,))]
+        assert rows.take_dirty() == []
+        rows.set_live(c, False)
+        rows.set_annotation(a, "y")
+        rows.set_annotation(a, "z")  # one entry per row, however often touched
+        assert rows.take_dirty() == [(a, (0,)), (c, (2,))]
+        assert rows.take_dirty() == []
+
+    def test_settle_leaves_the_row_clean(self):
+        rows = RowStore()
+        rid = rows.add(("a",), ann="x")
+        rows.take_dirty()
+        rows.settle(rid, "normal")
+        assert rows.annotation(rid) == "normal"
+        assert rows.take_dirty() == []
+
+    def test_free_drops_a_row_and_readding_dirties_it_again(self):
+        rows = RowStore()
+        rid = rows.add(("a",))
+        rows.add(("b",))
+        rows.free(rid)
+        assert rows.take_dirty() == [(1, ("b",))]
+        rows.free(rows.add(("c",)))
+        assert rows.take_dirty() == []
+        rid = rows.add(("a",))
+        assert rows.take_dirty() == [(rid, ("a",))]
+
+    def test_survives_compact_in_the_new_id_order(self):
+        rows = RowStore()
+        for i in range(6):
+            rows.add((i,))
+        rows.take_dirty()
+        rows.set_annotation(5, "x")
+        rows.set_live(1, False)
+        rows.set_annotation(3, "y")
+        for rid in (0, 2, 4):
+            rows.free(rid)
+        rows.compact()
+        # (1,), (3,), (5,) renumbered to 0, 1, 2.
+        assert rows.take_dirty() == [(0, (1,)), (1, (3,)), (2, (5,))]
+
+    def test_never_outgrows_the_support(self):
+        rows = RowStore()
+        for cycle in range(50):
+            rid = rows.add((cycle,))
+            rows.set_annotation(rid, "x")
+            if cycle % 2:
+                rows.free(rid)
+        assert len(rows.take_dirty()) == len(rows) == 25
+
+    def test_recovered_rows_are_covered_by_the_first_flush(self, tmp_path, monkeypatch):
+        """Recovery loads rows through ``RelationStore.add``, which marks
+        them dirty, so the first flush after ``recover()`` normalises every
+        loaded row once."""
+        import repro.engine.executors as executors
+        from repro.wal import JournaledEngine, recover
+
+        database = Database.from_rows("R", ["a", "b"], [(i, i % 3) for i in range(9)])
+        engine = JournaledEngine(database, tmp_path, policy="normal_form_batch")
+        engine.apply(Transaction("p", [Delete("R", Pattern(2, eq={1: 0}))]))
+        engine.close()
+        normalized = []
+        normalize = executors.normalize_expr
+
+        def counted(expr):
+            normalized.append(expr)
+            return normalize(expr)
+
+        monkeypatch.setattr(executors, "normalize_expr", counted)
+        recovered = recover(tmp_path)
+        recovered.flush_pending()
+        assert len(normalized) == recovered.support_count() == 9
+        del normalized[:]
+        recovered.capture()
+        assert normalized == []
+
+
 class TestColumnIndex:
     def test_add_lookup_remove(self):
         index = ColumnIndex()
