@@ -184,6 +184,20 @@ class StoreBackedExecutor(Executor):
     def _relation_store(self, name: str) -> RelationStore:
         return self.store.relation(name)
 
+    def on_transaction_end(self, name: str) -> None:
+        self.flush()
+
+    def flush(self) -> None:
+        """Nothing is deferred: clear each store's dirty set unread.
+
+        Only the deferred policy reads the rows touched since the last
+        flush (:meth:`BatchNormalFormExecutor.flush`); every other policy
+        clears them here, at transaction end and before a delta drain, so
+        the sets never outgrow what one transaction touched.
+        """
+        for _name, store in self.store.relations():
+            store.rows.clear_dirty()
+
     def live_rows(self, relation: str) -> set[tuple[object, ...]]:
         return self.store.live_rows(relation)
 
@@ -570,9 +584,6 @@ class BatchNormalFormExecutor(NaiveExecutor):
             for rid, row in dead_zero:
                 store.free(rid)
                 self._emit("free", name, row, None, False)
-
-    def on_transaction_end(self, name: str) -> None:
-        self.flush()
 
     # Observations must never expose un-normalized intermediates, and the
     # support count must not depend on whether provenance was read first

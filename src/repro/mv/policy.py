@@ -185,6 +185,7 @@ class MVExecutor(StoreBackedExecutor):
                 committed.add(id(version))
                 version.ann = version.ann.wrap("C", version.version_id, name, nu)
         self._touched.clear()
+        super().on_transaction_end(name)
 
     # -- inspection -----------------------------------------------------------------
 

@@ -40,8 +40,10 @@ Operations (see :mod:`repro.server.server` for the handlers):
 ====================  =======================================================
 ``ping``              server identity: version, policy, backend, schema
 ``apply``             ``{"events": [...], "batch": bool}`` → applied count
-``provenance``        one relation, as an :func:`encode_capture` payload
-``state``             every relation, as an :func:`encode_capture` payload
+``provenance``        one relation, as an :func:`encode_capture` payload;
+                      encoded once per snapshot version, then cached
+``state``             every relation, as an :func:`encode_capture` payload;
+                      encoded once per snapshot version, then cached
 ``annotation_of``     one row's expression as a one-root node table
                       (``null`` = never stored)
 ``specialize``        Boolean-structure valuation of every stored annotation

@@ -10,7 +10,11 @@ The event loop never touches the engine and never interns expressions:
 request decoding stops at queries/patterns (plain data), and responses
 encode expressions *from* immutable snapshots into the one shared node
 table of :mod:`repro.storage.exprjson` (encoding creates no nodes).
-Every engine mutation stays on the service's writer thread.
+``provenance`` and ``state`` replies are encoded once per published
+version: the frame is cached on the snapshot
+(:attr:`~repro.storage.snapshot.Snapshot.frames`) and later reads of the
+same version write the cached bytes.  Every engine mutation stays on the
+service's writer thread.
 
 Live-view pushes ride the same per-connection ordered queue the
 responses do: the writer's delta flush hands matched deltas to
@@ -33,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .._version import __version__
 from ..core.expr import evaluate
@@ -44,6 +48,7 @@ from ..queries.updates import Insert, Transaction, UpdateQuery
 from ..semantics.boolean import BooleanStructure
 from ..shard.codec import decode_events, encode_capture, encode_tuple_vars
 from ..storage.exprjson import expr_to_dict
+from ..storage.snapshot import Snapshot
 from ..views import DeltaBatch, encode_delta_batch
 from ..workloads.logs import log_from_events, pattern_from_dict, pattern_to_dict
 from .protocol import (
@@ -61,6 +66,19 @@ __all__ = ["ProvenanceServer", "ServerHandle", "serve_in_thread"]
 async def _const(payload: dict, closing: bool) -> tuple[dict, bool]:
     """A pre-computed dispatch result (framing errors)."""
     return payload, closing
+
+
+def _cached_frame(snapshot: Snapshot, key, build: Callable[[], dict]) -> bytes:
+    """The reply frame ``key`` of ``snapshot``, encoded on its first read.
+
+    Runs on the event loop with no await inside, so two readers of one
+    version cannot both miss.  A payload that cannot be framed raises
+    before anything is stored, and the handler answers the error instead.
+    """
+    frame = snapshot.frames.get(key)
+    if frame is None:
+        frame = snapshot.frames[key] = encode_frame(build())
+    return frame
 
 
 class _Connection:
@@ -212,13 +230,16 @@ class ProvenanceServer:
                 response, closing = task, False
             else:
                 response, closing = await task
-            try:
-                frame = encode_frame(response)
-            except ServerError as exc:
-                # A response that cannot serialize (non-JSON state values,
-                # a capture bigger than MAX_FRAME) must still answer its
-                # request — error_payload always encodes.
-                frame = encode_frame(error_payload(exc))
+            if isinstance(response, bytes):
+                frame = response  # a read reply cached on its snapshot
+            else:
+                try:
+                    frame = encode_frame(response)
+                except ServerError as exc:
+                    # A response that cannot serialize (non-JSON state
+                    # values, a frame bigger than MAX_FRAME) must still
+                    # answer its request — error_payload always encodes.
+                    frame = encode_frame(error_payload(exc))
             try:
                 writer.write(frame)
                 # Flush only at pipeline gaps: with more responses already
@@ -244,8 +265,14 @@ class ProvenanceServer:
             if write_failed:
                 return
 
-    async def _dispatch(self, request: dict, conn: _Connection) -> tuple[dict, bool]:
-        """Route one request; returns ``(response, close-after-reply)``."""
+    async def _dispatch(
+        self, request: dict, conn: _Connection
+    ) -> tuple[dict | bytes, bool]:
+        """Route one request; returns ``(response, close-after-reply)``.
+
+        A response is a payload dict, or a complete frame (``bytes``) that
+        a read handler took from its snapshot's cache.
+        """
         op = request.get("op")
         handler = _OPS.get(op)
         if handler is None:
@@ -309,22 +336,30 @@ class ProvenanceServer:
                     )
         return items
 
-    async def _op_provenance(self, request: dict, _conn: _Connection) -> dict:
+    async def _op_provenance(self, request: dict, _conn: _Connection) -> bytes:
         relation = self._known_relation(request)
         snapshot = await self.service.snapshot()
-        return {
-            "ok": True,
-            "version": snapshot.version,
-            "rows": encode_capture({relation: snapshot.relations[relation]}),
-        }
+        return _cached_frame(
+            snapshot,
+            ("provenance", relation),
+            lambda: {
+                "ok": True,
+                "version": snapshot.version,
+                "rows": encode_capture({relation: snapshot.relations[relation]}),
+            },
+        )
 
-    async def _op_state(self, _request: dict, _conn: _Connection) -> dict:
+    async def _op_state(self, _request: dict, _conn: _Connection) -> bytes:
         snapshot = await self.service.snapshot()
-        return {
-            "ok": True,
-            "version": snapshot.version,
-            "relations": encode_capture(snapshot.relations),
-        }
+        return _cached_frame(
+            snapshot,
+            "state",
+            lambda: {
+                "ok": True,
+                "version": snapshot.version,
+                "relations": encode_capture(snapshot.relations),
+            },
+        )
 
     async def _op_annotation_of(self, request: dict, _conn: _Connection) -> dict:
         relation = self._known_relation(request)

@@ -8,11 +8,15 @@ and on-disk form is the same :func:`repro.shard.codec.encode_capture`
 payload — one shared :mod:`~repro.storage.exprjson` node table with an
 integer root per row — so the bytes a ``state`` reply carries and the
 body of ``checkpoint.json`` are one encoding.
+
+A snapshot also carries the read replies already encoded from it
+(:attr:`Snapshot.frames`), so each reply is encoded once per published
+version however many readers ask for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..core.expr import Expr
@@ -33,8 +37,18 @@ class Snapshot:
     with equal versions hold identical state; ``seq`` is the engine's
     :attr:`~repro.engine.engine.Engine.last_seq` (``None`` without a
     journal); ``relations`` is the capture itself.
+
+    ``frames`` caches the complete wire frames the server encoded from
+    this snapshot, keyed ``("provenance", relation)`` or ``"state"``.
+    A snapshot's state never changes, so neither does a reply built from
+    it: the first read encodes, every later read of the same version
+    sends the cached bytes.  The cache lives and dies with the snapshot,
+    so it holds at most one frame per relation read at a live version.
+    Only the server's event loop reads or fills it.  It takes no part in
+    equality.
     """
 
     version: int
     seq: int | None
     relations: Mapping[str, Mapping[tuple, tuple["Expr | None", bool]]]
+    frames: dict[object, bytes] = field(default_factory=dict, compare=False, repr=False)

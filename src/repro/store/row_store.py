@@ -24,7 +24,8 @@ Each store also keeps a *dirty set*: the values of the rows added or
 re-annotated (or whose liveness was set) since the last
 :meth:`RowStore.take_dirty`.  It is what makes the deferred policy's
 transaction-end flush proportional to the rows a transaction touched
-rather than to the support.  It is keyed by row value, not row id, so
+rather than to the support; the policies that defer nothing clear it at
+transaction end instead.  It is keyed by row value, not row id, so
 :meth:`RowStore.compact` renumbering cannot make it stale, and freeing a
 row removes it, so it never holds more entries than the support.
 """
@@ -126,6 +127,14 @@ class RowStore:
         dirty = sorted((id_of[row], row) for row in self._dirty)
         self._dirty.clear()
         return dirty
+
+    def clear_dirty(self) -> None:
+        """Forget the rows mutated since the last drain, unread.
+
+        What the policies that defer no work do at transaction end, so
+        the set stays bounded by the rows one transaction touches.
+        """
+        self._dirty.clear()
 
     # -- access ---------------------------------------------------------------
 

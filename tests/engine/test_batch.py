@@ -299,3 +299,24 @@ def test_flush_count_does_not_grow_with_the_untouched_support(monkeypatch):
         monkeypatch.undo()
     # Group 0: 4 sources and up to 4 targets; group 1: 4 deletions; 1 insert.
     assert 9 <= counts[0] == counts[1] <= 13
+
+
+def dirty_rows(engine) -> int:
+    """How many rows the stores' dirty sets hold; drains them."""
+    return sum(len(store.rows.take_dirty()) for _name, store in engine.executor.store.relations())
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["apply", "apply_batch"])
+@pytest.mark.parametrize("policy", ["none", "naive", "normal_form", "mv_tree", "mv_string"])
+def test_policies_that_defer_nothing_clear_the_dirty_set_at_transaction_end(
+    workload, policy, batched
+):
+    """Only the deferred policy reads the dirty set; every other policy
+    must still empty it at each transaction end, or it grows to the
+    whole support."""
+    database, log = workload
+    engine = Engine(database, policy=policy)
+    assert dirty_rows(engine) == engine.support_count()  # the loaded rows
+    for transaction in log:
+        (engine.apply_batch if batched else engine.apply)(transaction)
+        assert dirty_rows(engine) == 0
