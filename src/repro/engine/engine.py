@@ -29,6 +29,7 @@ from ..core.expr import Expr, evaluate
 from ..db.database import Database
 from ..errors import EngineError
 from ..queries.updates import Transaction, UpdateQuery
+from ..views.deltas import DeltaBatch
 from .executors import (
     BatchNormalFormExecutor,
     Executor,
@@ -100,13 +101,17 @@ class Engine:
         #: crash mid-apply re-applies the record on recovery (redo-log
         #: discipline) instead of losing it.
         self.journal = journal
+        #: whether :meth:`drain_deltas` reads the change sets (live views).
+        self._deltas_attached = False
 
     # -- applying updates -------------------------------------------------------
 
     def apply(self, item: UpdateQuery | Transaction | Iterable) -> "Engine":
         """Apply a query, a transaction, or any iterable of those.
 
-        Returns ``self`` so applications chain.
+        The end of each call is a quiescent point: with no live view
+        attached, the changes nothing will read are forgotten there (see
+        :meth:`drain_deltas`).  Returns ``self`` so applications chain.
         """
         if isinstance(item, UpdateQuery):
             self._apply_query(item)
@@ -124,7 +129,13 @@ class Engine:
                 self.apply(element)
         else:
             raise EngineError(f"cannot apply {type(item).__name__}")
+        self._forget_unread_changes()
         return self
+
+    def _forget_unread_changes(self) -> None:
+        """With no view attached, drop the changes no flush needs."""
+        if not self._deltas_attached:
+            self.executor.drop_changes()
 
     def _apply_query(self, query: UpdateQuery, journaled: bool = True) -> None:
         # The journal append sits inside the timed section (as in the
@@ -164,8 +175,8 @@ class Engine:
         applied, and the run ends with a batch-end record.  Runs never
         straddle a transaction boundary, so per-transaction hooks (the
         ``normal_form_batch`` flush among them) fire exactly as under
-        :meth:`apply`.  Per-run timings land in ``stats`` as batch
-        counters.
+        :meth:`apply`, and so does the quiescent point at the end of the
+        call.  Per-run timings land in ``stats`` as batch counters.
         """
         run: list[UpdateQuery] = []
 
@@ -220,6 +231,7 @@ class Engine:
 
         feed(item)
         flush_run()
+        self._forget_unread_changes()
         return self
 
     # -- results ------------------------------------------------------------------
@@ -361,7 +373,7 @@ class Engine:
     def stores_expressions(self) -> bool:
         """Whether annotations are UP[X] expressions rather than MV version
         annotations — what row deltas and specialization both need."""
-        return self.executor.emits_deltas
+        return self.executor.stores_expressions
 
     @property
     def last_seq(self) -> int | None:
@@ -389,17 +401,11 @@ class Engine:
         }
 
     def flush_pending(self) -> None:
-        """Materialize deferred executor work (batch normalization).
-
-        Called before a delta drain: ``normal_form_batch`` rewrites
-        annotations at flush time and emits the matching ``annotation``
-        deltas, so draining without flushing would stamp those rewrites
-        into a *later* batch than the version they belong to.
-        """
+        """Materialize deferred executor work (batch normalization)."""
         self.executor.flush()
 
-    def attach_deltas(self, sink) -> None:
-        """Mirror every support mutation into ``sink`` (a ``DeltaBuffer``).
+    def attach_deltas(self) -> None:
+        """Keep every later row change for :meth:`drain_deltas` (live views).
 
         The one place a backend that cannot emit row deltas says so.
         """
@@ -408,7 +414,32 @@ class Engine:
                 f"policy {self.policy!r} does not emit row deltas "
                 "(MV version annotations have no UP[X] delta form)"
             )
-        self.executor.delta_sink = sink
+        self._forget_unread_changes()
+        self._deltas_attached = True
+
+    def drain_deltas(self, version: int) -> DeltaBatch | None:
+        """Close a quiescent interval: every row changed since the last drain.
+
+        With deltas attached, pending deferred work is flushed first and
+        the change sets drain into one delta per changed row, stamped
+        ``version``, so the batch shows exactly what a same-version
+        capture would.  Without, nothing reads them: the changes that
+        need no flush are forgotten (pending batch normalization stays
+        for its own flush point, which this never adds) and the result
+        is ``None``.
+        """
+        if not self._deltas_attached:
+            self._forget_unread_changes()
+            return None
+        self.executor.flush()
+        return DeltaBatch(version, tuple(self.executor.take_deltas()))
+
+    def pending_changes(self) -> int:
+        """Rows held in the change sets; after a drain without deltas
+        attached, the rows whose deferred normalization is pending."""
+        return sum(
+            store.rows.change_count() for _name, store in self.executor.store.relations()
+        )
 
     def match_rows(
         self, relation: str, pattern

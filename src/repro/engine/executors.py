@@ -43,6 +43,7 @@ from ..db.database import Database
 from ..errors import EngineError
 from ..queries.updates import Delete, Insert, Modify, UpdateQuery
 from ..store.annotation_store import AnnotationStore, RelationStore
+from ..views.deltas import RowDelta
 
 __all__ = [
     "Executor",
@@ -163,19 +164,18 @@ class Executor:
 class StoreBackedExecutor(Executor):
     """Common plumbing of every executor sitting on an :class:`AnnotationStore`.
 
-    Alongside the store, every subclass participates in the *delta hook*:
-    when :attr:`delta_sink` is set (see
-    :meth:`repro.engine.engine.Engine.attach_deltas`), each support mutation
-    is mirrored into the sink through :meth:`_emit` — the row-level
-    vocabulary live views are maintained from.  Executors whose slots
-    have no ``UP[X]`` expression form set :attr:`emits_deltas` to False
-    and are rejected at attach time.
+    Every support mutation goes through the store, whose per-relation
+    change sets (:class:`~repro.store.row_store.RowStore`) are the one
+    record of what changed.  At quiescent points the engine either
+    drains them into row deltas (:meth:`take_deltas`, while live views
+    are attached) or forgets them (:meth:`drop_changes`).  Executors
+    whose slots have no ``UP[X]`` expression form set
+    :attr:`stores_expressions` to False; the engine then refuses to
+    attach views.
     """
 
-    #: the attached :class:`~repro.views.deltas.DeltaBuffer`, or ``None``.
-    delta_sink = None
-    #: whether :meth:`_emit` produces a faithful row-delta stream.
-    emits_deltas = True
+    #: whether annotation slots map to UP[X] expressions (:meth:`_expr_of`).
+    stores_expressions = True
 
     def __init__(self, database: Database, use_indexes: bool = True):
         self.schema = database.schema
@@ -187,16 +187,33 @@ class StoreBackedExecutor(Executor):
     def on_transaction_end(self, name: str) -> None:
         self.flush()
 
-    def flush(self) -> None:
-        """Nothing is deferred: clear each store's dirty set unread.
+    def take_deltas(self) -> list[RowDelta]:
+        """Drain every change set into one row delta per changed row.
 
-        Only the deferred policy reads the rows touched since the last
-        flush (:meth:`BatchNormalFormExecutor.flush`); every other policy
-        clears them here, at transaction end and before a delta drain, so
-        the sets never outgrow what one transaction touched.
+        A row that entered the support since the last drain is an
+        ``insert``; a row no longer stored is a ``free``; any other
+        changed row is an ``annotation`` when live and a ``delete`` when
+        tombstoned.  Payloads are the final annotation and liveness,
+        mapped through :meth:`_expr_of`.
         """
+        deltas = []
+        for name, store in self.store.relations():
+            rows = store.rows
+            for row, entered in rows.take_changes():
+                rid = rows.rid_of(row)
+                if rid is None:
+                    deltas.append(RowDelta("free", name, row, None, False))
+                    continue
+                ann, live = rows.annotation(rid), rows.is_live(rid)
+                kind = "insert" if entered else "annotation" if live else "delete"
+                expr = None if ann is None else self._expr_of(ann)
+                deltas.append(RowDelta(kind, name, row, expr, live))
+        return deltas
+
+    def drop_changes(self) -> None:
+        """Forget the change sets unread: nothing is deferred."""
         for _name, store in self.store.relations():
-            store.rows.clear_dirty()
+            store.rows.drop_changes()
 
     def live_rows(self, relation: str) -> set[tuple[object, ...]]:
         return self.store.live_rows(relation)
@@ -235,22 +252,6 @@ class StoreBackedExecutor(Executor):
         """
         return ZERO
 
-    def _emit(
-        self, kind: str, relation: str, row: tuple, ann: object | None, live: bool
-    ) -> None:
-        """Mirror one support mutation into the attached delta sink.
-
-        ``ann`` is the *stored* slot value; it is mapped through
-        :meth:`_expr_of` here so the sink always holds interned ``Expr``
-        objects (or ``None`` for annotation-free policies), whatever the
-        executor's at-rest representation.
-        """
-        sink = self.delta_sink
-        if sink is not None:
-            sink.record(
-                kind, relation, row, None if ann is None else self._expr_of(ann), live
-            )
-
 
 class VanillaExecutor(StoreBackedExecutor):
     """Set semantics, physical deletes, no annotations ("No provenance").
@@ -278,29 +279,25 @@ class VanillaExecutor(StoreBackedExecutor):
         if store.rows.rid_of(row) is not None:
             return (0, 0)
         store.add(row, None, True)
-        self._emit("insert", query.relation, row, None, True)
         return (0, 1)
 
     def apply_delete(self, query: Delete) -> tuple[int, int]:
         store = self._relation_store(query.relation)
         matched = store.matching(query.pattern)
-        for rid, row in matched:
+        for rid, _row in matched:
             store.free(rid)
-            self._emit("free", query.relation, row, None, False)
         return (len(matched), 0)
 
     def apply_modify(self, query: Modify) -> tuple[int, int]:
         store = self._relation_store(query.relation)
         matched = store.matching(query.pattern)
         images = dict.fromkeys(query.apply_to_row(row) for _rid, row in matched)
-        for rid, row in matched:
+        for rid, _row in matched:
             store.free(rid)
-            self._emit("free", query.relation, row, None, False)
         created = 0
         for image in images:
             if store.rows.rid_of(image) is None:
                 store.add(image, None, True)
-                self._emit("insert", query.relation, image, None, True)
                 created += 1
         return (len(matched), created)
 
@@ -374,12 +371,10 @@ class AnnotatedExecutor(StoreBackedExecutor):
         if rid is None:
             ann = self._insert_ann(None, p)
             store.add(row, ann, True)
-            self._emit("insert", query.relation, row, ann, True)
             return (0, 1)
         ann = self._insert_ann(rows.annotation(rid), p)
         rows.set_annotation(rid, ann)
         rows.set_live(rid, True)
-        self._emit("annotation", query.relation, row, ann, True)
         return (0, 0)
 
     def apply_delete(self, query: Delete) -> tuple[int, int]:
@@ -387,11 +382,10 @@ class AnnotatedExecutor(StoreBackedExecutor):
         p = var(query._check_annotation())
         matched = store.matching(query.pattern)
         rows = store.rows
-        for rid, row in matched:
+        for rid, _row in matched:
             ann = self._delete_ann(rows.annotation(rid), p)
             rows.set_annotation(rid, ann)
             rows.set_live(rid, False)
-            self._emit("delete", query.relation, row, ann, False)
         return (len(matched), 0)
 
     def apply_modify(self, query: Modify) -> tuple[int, int]:
@@ -420,11 +414,10 @@ class AnnotatedExecutor(StoreBackedExecutor):
             )
             live_target[target] = live_target.get(target, False) or rows.is_live(rid)
         # Phase 2: sources are modified away (deleted).
-        for rid, row in matched:
+        for rid, _row in matched:
             ann = self._delete_ann(rows.annotation(rid), p)
             rows.set_annotation(rid, ann)
             rows.set_live(rid, False)
-            self._emit("delete", query.relation, row, ann, False)
         # Phase 3: targets absorb the merged contributions.
         created = 0
         for target, contributions in by_target.items():
@@ -438,14 +431,12 @@ class AnnotatedExecutor(StoreBackedExecutor):
                     # support (Rule 3 firing on an absent target).
                     continue
                 store.add(target, ann, live_target[target])
-                self._emit("insert", query.relation, target, ann, live_target[target])
                 created += 1
             else:
                 ann = self._absorb(rows.annotation(rid), merged, p)
                 live = rows.is_live(rid) or live_target[target]
                 rows.set_annotation(rid, ann)
                 rows.set_live(rid, live)
-                self._emit("annotation", query.relation, target, ann, live)
         return (len(matched), created)
 
     # -- inspection ---------------------------------------------------------------
@@ -536,8 +527,8 @@ class BatchNormalFormExecutor(NaiveExecutor):
     row, no per-update rule application — and the Theorem 5.3 rewrite runs
     once per :meth:`flush`: at transaction boundaries and before any
     provenance is observed.  A flush rewrites only the rows touched since
-    the previous one (each :class:`~repro.store.row_store.RowStore`'s dirty
-    set), so its cost follows the size of the update, not of the support —
+    the previous one (each :class:`~repro.store.row_store.RowStore`'s pending
+    rows), so its cost follows the size of the update, not of the support —
     the bar Berkholz-style update processing sets.  It uses the memoized
     replay normalizer (:func:`repro.core.normalize.normalize_expr`), so
     bases shared across rows and layers already normalized by earlier
@@ -554,10 +545,10 @@ class BatchNormalFormExecutor(NaiveExecutor):
         """Rewrite every annotation touched since the last flush into its
         normal form, once.
 
-        Untouched rows need no work: every stored annotation went through
-        a flush after its last mutation, annotations are immutable
-        interned DAGs, and a normal form is a fixed point of the
-        normalizer.
+        The touched rows are each change set's pending rows.  Untouched
+        rows need no work: every stored annotation went through a flush
+        after its last mutation, annotations are immutable interned DAGs,
+        and a normal form is a fixed point of the normalizer.
 
         Rows whose annotation normalizes to ``0`` and that are dead are
         dropped from the support: they are modification targets all of
@@ -566,24 +557,25 @@ class BatchNormalFormExecutor(NaiveExecutor):
         live row can never normalize to ``0`` (Proposition 4.2: liveness is
         the all-true Boolean valuation of the annotation).
         """
-        for name, store in self.store.relations():
+        for _name, store in self.store.relations():
             rows = store.rows
-            dead_zero: list[tuple[int, tuple]] = []
-            for rid, row in rows.take_dirty():
+            dead_zero: list[int] = []
+            for rid, _row in rows.pending_rows():
                 old = rows.annotation(rid)
                 ann = normalize_expr(old)
                 if ann is not old:
-                    rows.settle(rid, ann)
-                    # Normalization over the hash-consed DAG is pure: an
-                    # already-normal annotation comes back as the identical
-                    # interned object, so only genuine rewrites reach the
-                    # delta sink.
-                    self._emit("annotation", name, row, ann, rows.is_live(rid))
+                    rows.set_annotation(rid, ann)
                 if ann.is_zero and not rows.is_live(rid):
-                    dead_zero.append((rid, row))
-            for rid, row in dead_zero:
+                    dead_zero.append(rid)
+            rows.mark_flushed()
+            for rid in dead_zero:
                 store.free(rid)
-                self._emit("free", name, row, None, False)
+
+    def drop_changes(self) -> None:
+        """Forget the flushed and freed rows; pending rows wait for the
+        next flush."""
+        for _name, store in self.store.relations():
+            store.rows.drop_settled()
 
     # Observations must never expose un-normalized intermediates, and the
     # support count must not depend on whether provenance was read first

@@ -17,8 +17,8 @@ to the target's slot) and whose liveness bit is "any version live".
 Selection therefore runs through the store's pattern planner instead of a
 whole-relation version scan, and multiversion reads share one maintenance
 path with the live-view machinery.  Because slots hold version lists, not
-``UP[X]`` expressions, the policy emits no row deltas
-(:attr:`MVExecutor.emits_deltas`).
+``UP[X]`` expressions (:attr:`MVExecutor.stores_expressions`), the policy
+has no row-delta form and live views cannot attach to it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class MVExecutor(StoreBackedExecutor):
     """
 
     tracks_provenance = True
-    emits_deltas = False
+    stores_expressions = False
 
     def __init__(
         self,

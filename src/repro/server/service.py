@@ -44,7 +44,7 @@ from ..queries.pattern import Pattern
 from ..queries.updates import Transaction, UpdateQuery
 from ..shard.codec import capture_engine
 from ..storage.snapshot import Snapshot
-from ..views import DeltaBuffer, StandingView, ViewRegistry
+from ..views import StandingView, ViewRegistry
 from ..wal.checkpoint import DEFAULT_EVERY_RECORDS, CheckpointManager
 from ..wal.engine import JournaledEngine
 
@@ -175,7 +175,8 @@ class ProvenanceService:
         self._snapshot: Snapshot | None = None
         #: Standing views, maintained by the writer from drained deltas.
         self.views = ViewRegistry()
-        self._delta_buffer: DeltaBuffer | None = None
+        #: rows left in the engine's change sets after the last drain.
+        self._pending_changes = 0
         #: Server push hook: called on the *writer thread* after every
         #: delta flush with ``(batch, {view_id: [matched deltas]})``.  The
         #: transport bridges this to its event loop (see ``server.py``).
@@ -311,6 +312,7 @@ class ProvenanceService:
             "rss_bytes": current_rss_bytes(),
             "peak_rss_bytes": peak_rss_bytes(),
             "intern_table_size": intern_table_size(),
+            "pending_changes": self._pending_changes,
         }
 
     async def stats(self) -> dict:
@@ -458,9 +460,9 @@ class ProvenanceService:
                     outcome = exc
                 outcomes.append((entry.future, outcome))
         # End of cycle on the writer thread — the same quiescent point that
-        # publishes snapshots: drain accumulated row deltas, advance the
+        # publishes snapshots: drain the engine's change sets, advance the
         # standing views, and hand matched deltas to the push transport.
-        self._flush_deltas()
+        self._drain_changes()
         return outcomes, False
 
     def _apply_group(self, group: list[_Admission], outcomes: list) -> None:
@@ -508,18 +510,13 @@ class ProvenanceService:
     def _register_view(
         self, relation: str, pattern: Pattern
     ) -> tuple[StandingView, dict, int]:
-        """Attach the delta sink on first use, then register + seed a view."""
+        """Attach the engine's deltas, then register + seed a view."""
         if relation not in self.schema.names:
             raise ServerError(f"unknown relation {relation!r}")
-        if self._delta_buffer is None:
-            buffer = DeltaBuffer()
-            try:
-                self.engine.attach_deltas(buffer)
-            except EngineError as exc:
-                raise ServerError(
-                    f"this backend cannot maintain live views: {exc}"
-                ) from exc
-            self._delta_buffer = buffer
+        try:
+            self.engine.attach_deltas()
+        except EngineError as exc:
+            raise ServerError(f"this backend cannot maintain live views: {exc}") from exc
         view = self.views.register(relation, pattern)
         # Planner-backed and flushed first: exactly what a capture at this
         # version would show for the slice, in O(matched).
@@ -527,18 +524,12 @@ class ProvenanceService:
         view.version = self._version
         return view, view.state(), view.version
 
-    def _flush_deltas(self) -> None:
-        """Drain the delta buffer into a version-stamped batch and fan out."""
-        buffer = self._delta_buffer
-        if buffer is None:
+    def _drain_changes(self) -> None:
+        """Drain the change sets into a version-stamped batch and fan out."""
+        batch = self.engine.drain_deltas(self._version)
+        self._pending_changes = self.engine.pending_changes()
+        if not batch:
             return
-        # The deferred-normalization flush emits its annotation rewrites
-        # *into this batch*, so every batch reflects exactly the state a
-        # same-version capture observes.
-        self.engine.flush_pending()
-        if not buffer:
-            return
-        batch = buffer.drain(self._version)
         per_view = self.views.apply(batch)
         callback = self.on_deltas
         if callback is not None:

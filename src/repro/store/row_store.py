@@ -20,14 +20,17 @@ Two notions of absence coexist, mirroring the executor semantics:
   support (updates still match it; paper Figure 4) but is invisible to
   set semantics.
 
-Each store also keeps a *dirty set*: the values of the rows added or
-re-annotated (or whose liveness was set) since the last
-:meth:`RowStore.take_dirty`.  It is what makes the deferred policy's
-transaction-end flush proportional to the rows a transaction touched
-rather than to the support; the policies that defer nothing clear it at
-transaction end instead.  It is keyed by row value, not row id, so
-:meth:`RowStore.compact` renumbering cannot make it stale, and freeing a
-row removes it, so it never holds more entries than the support.
+Each store also keeps the relation's *change set*, the one record of
+support mutations: the values of the rows changed since the last drain,
+each with whether it entered the support in that interval.  The deferred
+policy's flush reads its *pending* part — rows mutated since the last
+:meth:`RowStore.mark_flushed` — so a transaction-end flush costs the rows
+a transaction touched, not the support; quiescent points drain the whole
+set into row deltas (:meth:`RowStore.take_changes`) or, with no view
+attached, forget what needs no flush.  A row drains once however often
+it was touched; one that entered and was freed again in the interval
+nets to nothing, and a freed row added back has entered again.  Keyed by
+row value, the set survives :meth:`RowStore.compact` renumbering.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ class RowStore:
     interned :class:`~repro.core.expr.Expr` DAGs, normal forms).
     """
 
-    __slots__ = ("_rows", "_ann", "_live", "_id_of", "_dirty")
+    __slots__ = ("_rows", "_ann", "_live", "_id_of", "_pending", "_settled")
 
     def __init__(self):
         self._rows: list[tuple | None] = []
@@ -52,8 +55,11 @@ class RowStore:
         self._live: list[bool] = []
         #: row value -> row id, for rows currently in the support.
         self._id_of: dict[tuple, int] = {}
-        #: values of stored rows mutated since the last ``take_dirty()``.
-        self._dirty: set[tuple] = set()
+        # The change set in two disjoint parts, row value -> entered:
+        #: stored rows mutated since the last ``mark_flushed()``;
+        self._pending: dict[tuple, bool] = {}
+        #: the other rows changed since the last drain (flushed or freed).
+        self._settled: dict[tuple, bool] = {}
 
     # -- mutation -------------------------------------------------------------
 
@@ -70,7 +76,8 @@ class RowStore:
         self._ann.append(ann)
         self._live.append(live)
         self._id_of[row] = rid
-        self._dirty.add(row)
+        self._settled.pop(row, None)
+        self._pending[row] = True
         return rid
 
     def free(self, rid: int) -> tuple:
@@ -79,7 +86,10 @@ class RowStore:
         if row is None:
             raise ValueError(f"row id {rid} already freed")
         del self._id_of[row]
-        self._dirty.discard(row)
+        if not (self._pending.pop(row, False) or self._settled.pop(row, False)):
+            # A row that entered and left inside one interval nets to
+            # nothing; any other freed row is a change to drain.
+            self._settled[row] = False
         self._rows[rid] = None
         self._ann[rid] = None
         self._live[rid] = False
@@ -105,36 +115,49 @@ class RowStore:
 
     def set_annotation(self, rid: int, ann: object) -> None:
         self._ann[rid] = ann
-        self._dirty.add(self._rows[rid])
+        row = self._rows[rid]
+        if row not in self._pending:
+            self._pending[row] = self._settled.pop(row, False)
 
     def set_live(self, rid: int, live: bool) -> None:
         self._live[rid] = live
-        self._dirty.add(self._rows[rid])
+        row = self._rows[rid]
+        if row not in self._pending:
+            self._pending[row] = self._settled.pop(row, False)
 
-    def settle(self, rid: int, ann: object) -> None:
-        """Replace an annotation with its flushed form, leaving the row clean.
+    # -- the change set ---------------------------------------------------------
 
-        The deferred policy's flush writes back normal forms through this:
-        normalizing a normal form again is a fixed point, so the rewrite
-        must not make the row pending for the next flush.
-        """
-        self._ann[rid] = ann
-
-    def take_dirty(self) -> list[tuple[int, tuple]]:
-        """``(rid, row)`` for every row mutated since the last call, in
-        ascending-id order; clears the dirty set."""
+    def pending_rows(self) -> list[tuple[int, tuple]]:
+        """``(rid, row)`` for every row mutated since the last
+        :meth:`mark_flushed`, in ascending-id order."""
         id_of = self._id_of
-        dirty = sorted((id_of[row], row) for row in self._dirty)
-        self._dirty.clear()
-        return dirty
+        return sorted((id_of[row], row) for row in self._pending)
 
-    def clear_dirty(self) -> None:
-        """Forget the rows mutated since the last drain, unread.
+    def mark_flushed(self) -> None:
+        """The pending rows are flushed: they stay changes to drain."""
+        self._settled.update(self._pending)
+        self._pending.clear()
 
-        What the policies that defer no work do at transaction end, so
-        the set stays bounded by the rows one transaction touches.
-        """
-        self._dirty.clear()
+    def take_changes(self) -> list[tuple[tuple, bool]]:
+        """``(row, entered)`` for every row changed since the last drain;
+        empties the change set.  A row no longer stored was freed."""
+        changes = [*self._settled.items(), *self._pending.items()]
+        self._settled.clear()
+        self._pending.clear()
+        return changes
+
+    def drop_settled(self) -> None:
+        """Forget the changed rows that are not pending, unread."""
+        self._settled.clear()
+
+    def drop_changes(self) -> None:
+        """Forget every changed row, unread."""
+        self._settled.clear()
+        self._pending.clear()
+
+    def change_count(self) -> int:
+        """Rows in the change set."""
+        return len(self._pending) + len(self._settled)
 
     # -- access ---------------------------------------------------------------
 

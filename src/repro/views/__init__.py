@@ -1,6 +1,6 @@
 """Incremental live views: delta-maintained standing queries.
 
-See :mod:`repro.views.deltas` for the delta vocabulary, buffer and codec,
+See :mod:`repro.views.deltas` for the delta vocabulary and codec,
 :mod:`repro.views.registry` for standing views, and
 ``docs/ARCHITECTURE.md`` ("Live views") for the end-to-end push path.
 """
@@ -8,7 +8,6 @@ See :mod:`repro.views.deltas` for the delta vocabulary, buffer and codec,
 from .deltas import (
     DELTA_KINDS,
     DeltaBatch,
-    DeltaBuffer,
     RowDelta,
     apply_delta,
     apply_delta_batch,
@@ -20,7 +19,6 @@ from .registry import StandingView, ViewRegistry
 __all__ = [
     "DELTA_KINDS",
     "DeltaBatch",
-    "DeltaBuffer",
     "RowDelta",
     "StandingView",
     "ViewRegistry",

@@ -3,16 +3,16 @@
 A :class:`RowDelta` describes one support-row change in the same
 row-keyed terms a :meth:`~repro.store.annotation_store.AnnotationStore.state`
 capture speaks — ``(relation, row, expression, live)`` — plus a ``kind``
-tag naming what happened:
+tag naming what happened to the row over one drain interval:
 
 ====================  ======================================================
 ``insert``            the row entered the support (or re-entered after a
                       ``free``); payload is its annotation and liveness
-``delete``            the row was tombstoned (``live`` becomes ``False``,
-                      the annotation records the deletion)
-``annotation``        the row's annotation (and possibly liveness) changed
-                      in place — re-inserts, modification targets, deferred
-                      normalization rewrites
+``delete``            a row already in the support changed and ends the
+                      interval tombstoned (``live`` is ``False``)
+``annotation``        a row already in the support changed and ends the
+                      interval live — re-inserts, modification targets,
+                      deferred normalization rewrites
 ``free``              the row left the support entirely (vanilla physical
                       deletes, dead zero-annotation rows dropped by the
                       deferred policy); no payload
@@ -23,13 +23,14 @@ Consumers reconstruct state with *upsert* semantics — every kind except
 the key — so replaying a delta stream over a seed capture is bit-identical
 to a fresh capture at the same version (:func:`apply_delta_batch`).
 
-Executors record deltas into a :class:`DeltaBuffer` through the
-``delta_sink`` hook (attached with
-:meth:`~repro.engine.engine.Engine.attach_deltas`), which coalesces per ``(relation, row)``: a row touched many times inside
-one flush interval ships once, with its final annotation and liveness.
-The buffer is drained at quiescent points only — the same points that
-publish snapshots — and every drained :class:`DeltaBatch` is stamped with
-the snapshot version that produced it.
+Deltas are not recorded as they happen.  Every support mutation passes
+through a :class:`~repro.store.row_store.RowStore`, whose per-relation
+*change set* remembers which rows changed since the last drain and
+whether each entered the support; at quiescent points — the same points
+that publish snapshots — :meth:`~repro.engine.engine.Engine.drain_deltas`
+turns it into a :class:`DeltaBatch`, one delta per changed row with its
+final annotation and liveness, stamped with the snapshot version.  A row
+that entered and left the support inside one interval is not in it.
 
 On the wire a batch carries the one expression encoding every capture
 uses (:func:`repro.storage.exprjson.exprs_to_arena`): one shared node
@@ -48,7 +49,6 @@ from ..storage.exprjson import exprs_from_arena, exprs_to_arena
 __all__ = [
     "DELTA_KINDS",
     "DeltaBatch",
-    "DeltaBuffer",
     "RowDelta",
     "apply_delta",
     "apply_delta_batch",
@@ -56,7 +56,7 @@ __all__ = [
     "encode_delta_batch",
 ]
 
-#: Every delta kind a sink may record (see the module docstring).
+#: Every delta kind a batch may carry (see the module docstring).
 DELTA_KINDS = ("insert", "delete", "annotation", "free")
 
 
@@ -90,67 +90,6 @@ class DeltaBatch:
 
     def __iter__(self) -> Iterator[RowDelta]:
         return iter(self.deltas)
-
-
-class DeltaBuffer:
-    """The engine-side delta sink: coalesces row changes per flush interval.
-
-    ``record`` is called from executor mutation points (single-writer
-    discipline: only the thread applying updates ever records); ``drain``
-    is called at quiescent points only, after pending deferred work was
-    flushed (:meth:`~repro.engine.engine.Engine.flush_pending`), so drained annotations are exactly
-    the ones a same-version capture observes.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self):
-        #: ``(relation, row) -> [kind, expr, live]`` in first-touch order.
-        self._pending: dict[tuple[str, tuple], list] = {}
-
-    def record(
-        self,
-        kind: str,
-        relation: str,
-        row: tuple,
-        expr: "Expr | None",
-        live: bool,
-    ) -> None:
-        key = (relation, row)
-        entry = self._pending.get(key)
-        if kind == "free":
-            if entry is not None and entry[0] == "insert":
-                # The row entered and left the support inside one
-                # interval: net nothing, consumers never hear about it.
-                del self._pending[key]
-            else:
-                self._pending[key] = ["free", None, False]
-            return
-        if entry is None:
-            self._pending[key] = [kind, expr, live]
-        else:
-            # An insert stays an insert for consumers whatever happens to
-            # it afterwards, and a freed row reappearing is new again;
-            # otherwise the latest kind labels the coalesced change.
-            first = "insert" if entry[0] in ("insert", "free") else kind
-            entry[0] = first
-            entry[1] = expr
-            entry[2] = live
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def __bool__(self) -> bool:
-        return bool(self._pending)
-
-    def drain(self, version: int) -> DeltaBatch:
-        """Freeze the pending changes into a version-stamped batch."""
-        deltas = tuple(
-            RowDelta(kind, relation, row, expr, live)
-            for (relation, row), (kind, expr, live) in self._pending.items()
-        )
-        self._pending.clear()
-        return DeltaBatch(version=version, deltas=deltas)
 
 
 # ---------------------------------------------------------------------------

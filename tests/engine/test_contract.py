@@ -18,7 +18,6 @@ from repro.errors import EngineError
 from repro.queries.pattern import Pattern
 from repro.queries.updates import Insert, Transaction
 from repro.replication.apply import ShipmentApplier
-from repro.views import DeltaBuffer
 from repro.wal import JournaledEngine, recover
 from repro.wal.journal import tail_journal
 from repro.workloads.synthetic import synthetic_workload
@@ -156,12 +155,11 @@ def test_flush_pending_changes_no_observable_state(backend, reference):
 
 
 def test_attach_deltas_streams_later_mutations_or_rejects(backend):
-    engine, sink = backend.engine, DeltaBuffer()
-    engine.attach_deltas(sink)
+    engine = backend.engine
+    engine.attach_deltas()
     row = (10**6, 1, 0, 0, 0)
     backend.apply([Transaction("later", [Insert(RELATION, row)])])
-    engine.flush_pending()
-    deltas = {delta.row: delta for delta in sink.drain(1)}
+    deltas = {delta.row: delta for delta in engine.drain_deltas(1)}
     assert deltas[row].kind == "insert" and deltas[row].live
     assert deltas[row].expr is engine.capture()[RELATION][row][0]
 
@@ -221,11 +219,9 @@ def test_follower_rejects_local_writes_until_promoted(workload, reference, tmp_p
 @pytest.mark.parametrize("policy", ["naive", "normal_form", "normal_form_batch", "none"])
 def test_attached_engine_routes_deltas_through_the_sink(policy):
     engine = Engine(Database.from_rows("R", ["a", "b"], [(0, 0)]), policy=policy)
-    buffer = DeltaBuffer()
-    engine.attach_deltas(buffer)
+    engine.attach_deltas()
     engine.apply(Insert("R", (1, 1)).annotated("p"))
-    engine.flush_pending()
-    kinds = {delta.row: delta.kind for delta in buffer.drain(1)}
+    kinds = {delta.row: delta.kind for delta in engine.drain_deltas(1)}
     assert kinds[(1, 1)] == "insert"
 
 
@@ -233,4 +229,4 @@ def test_attached_engine_routes_deltas_through_the_sink(policy):
 def test_mv_policies_are_rejected_loudly(policy):
     engine = Engine(Database.from_rows("R", ["a", "b"], [(0, 0)]), policy=policy)
     with pytest.raises(EngineError, match="does not emit row deltas"):
-        engine.attach_deltas(DeltaBuffer())
+        engine.attach_deltas()

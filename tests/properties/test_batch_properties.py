@@ -58,8 +58,8 @@ def test_deferred_batch_policy_equivalent_to_incremental(db, log):
 def full_walk_flush(executor) -> None:
     """The oracle flush: normalise every stored row of every relation.
 
-    What ``BatchNormalFormExecutor.flush`` did before it kept a dirty set
-    (minus delta emission: no sink is attached here).
+    What ``BatchNormalFormExecutor.flush`` did before it read only the
+    change set's pending rows.
     """
     for _name, store in executor.store.relations():
         rows = store.rows

@@ -101,15 +101,35 @@ def test_round_trip_bit_identical_across_policies(policy):
 
 def test_stats_memory_block_is_rss_and_the_intern_table():
     """Annotations stay expression objects at rest, so the ``memory`` block
-    reports the process RSS and the live intern table, nothing else."""
+    reports the process RSS and the live intern table, plus the rows the
+    change sets still hold, nothing else."""
     database, items = small_workload(seed=7)
     with serve(database) as handle:
         with ServerClient(handle.host, handle.port) as client:
             client.apply(items)
             memory = client.stats()["memory"]
-    assert set(memory) == {"rss_bytes", "peak_rss_bytes", "intern_table_size"}
+    assert set(memory) == {
+        "rss_bytes", "peak_rss_bytes", "intern_table_size", "pending_changes"
+    }
     assert memory["peak_rss_bytes"] >= memory["rss_bytes"] > 0
     assert memory["intern_table_size"] > 0
+    assert memory["pending_changes"] == 0  # transactions flush at their end
+
+
+@pytest.mark.parametrize("policy", ["naive", "normal_form_batch"])
+def test_bare_queries_leave_only_pending_normalisation_in_the_change_sets(policy):
+    """The writer's end of cycle forgets every change no view reads, and
+    keeps only what the deferred policy's next flush normalises."""
+    database, items = small_workload(seed=5)
+    queries = [query for item in items for query in item]
+    with serve(database, policy=policy) as handle:
+        with ServerClient(handle.host, handle.port) as client:
+            client.apply(queries)
+            pending = client.stats()["memory"]["pending_changes"]
+            client.state()  # an observation flushes normal_form_batch
+            flushed = client.stats()["memory"]["pending_changes"]
+    assert (pending > 0) == (policy == "normal_form_batch")
+    assert flushed == 0
 
 
 def test_provenance_reply_ships_each_distinct_node_once():

@@ -62,41 +62,47 @@ class TestRowStore:
 
 
 class TestDirtySet:
+    """The change set's pending rows: what the deferred flush reads."""
+
     def test_mutations_mark_rows_dirty_and_take_clears(self):
         rows = RowStore()
         a, b, c = (rows.add((i,), ann="x") for i in range(3))
-        assert rows.take_dirty() == [(a, (0,)), (b, (1,)), (c, (2,))]
-        assert rows.take_dirty() == []
+        assert rows.pending_rows() == [(a, (0,)), (b, (1,)), (c, (2,))]
+        rows.mark_flushed()
+        assert rows.pending_rows() == []
         rows.set_live(c, False)
         rows.set_annotation(a, "y")
         rows.set_annotation(a, "z")  # one entry per row, however often touched
-        assert rows.take_dirty() == [(a, (0,)), (c, (2,))]
-        assert rows.take_dirty() == []
+        assert rows.pending_rows() == [(a, (0,)), (c, (2,))]
+        rows.mark_flushed()
+        assert rows.pending_rows() == []
 
-    def test_settle_leaves_the_row_clean(self):
+    def test_mark_flushed_leaves_the_rows_clean(self):
         rows = RowStore()
         rid = rows.add(("a",), ann="x")
-        rows.take_dirty()
-        rows.settle(rid, "normal")
+        rows.set_annotation(rid, "normal")  # the flush's write-back
+        rows.mark_flushed()
         assert rows.annotation(rid) == "normal"
-        assert rows.take_dirty() == []
+        assert rows.pending_rows() == []
+        assert rows.take_changes() == [(("a",), True)]  # still a change to drain
 
     def test_free_drops_a_row_and_readding_dirties_it_again(self):
         rows = RowStore()
         rid = rows.add(("a",))
         rows.add(("b",))
         rows.free(rid)
-        assert rows.take_dirty() == [(1, ("b",))]
+        assert rows.pending_rows() == [(1, ("b",))]
+        rows.mark_flushed()
         rows.free(rows.add(("c",)))
-        assert rows.take_dirty() == []
+        assert rows.pending_rows() == []
         rid = rows.add(("a",))
-        assert rows.take_dirty() == [(rid, ("a",))]
+        assert rows.pending_rows() == [(rid, ("a",))]
 
     def test_survives_compact_in_the_new_id_order(self):
         rows = RowStore()
         for i in range(6):
             rows.add((i,))
-        rows.take_dirty()
+        rows.mark_flushed()
         rows.set_annotation(5, "x")
         rows.set_live(1, False)
         rows.set_annotation(3, "y")
@@ -104,7 +110,7 @@ class TestDirtySet:
             rows.free(rid)
         rows.compact()
         # (1,), (3,), (5,) renumbered to 0, 1, 2.
-        assert rows.take_dirty() == [(0, (1,)), (1, (3,)), (2, (5,))]
+        assert rows.pending_rows() == [(0, (1,)), (1, (3,)), (2, (5,))]
 
     def test_never_outgrows_the_support(self):
         rows = RowStore()
@@ -113,7 +119,7 @@ class TestDirtySet:
             rows.set_annotation(rid, "x")
             if cycle % 2:
                 rows.free(rid)
-        assert len(rows.take_dirty()) == len(rows) == 25
+        assert len(rows.pending_rows()) == rows.change_count() == len(rows) == 25
 
     def test_recovered_rows_are_covered_by_the_first_flush(self, tmp_path, monkeypatch):
         """Recovery loads rows through ``RelationStore.add``, which marks
@@ -140,6 +146,56 @@ class TestDirtySet:
         del normalized[:]
         recovered.capture()
         assert normalized == []
+
+
+class TestChangeSet:
+    """What a drain reads: every row changed since the previous drain."""
+
+    def test_insert_then_free_nets_to_nothing(self):
+        rows = RowStore()
+        rows.free(rows.add(("a",), ann="x"))
+        assert rows.change_count() == 0
+        assert rows.take_changes() == []
+
+    def test_freed_stored_row_drains_as_not_entered(self):
+        rows = RowStore()
+        rid = rows.add(("a",))
+        rows.take_changes()
+        rows.free(rid)
+        assert rows.take_changes() == [(("a",), False)]
+
+    def test_freed_row_readded_has_entered_again(self):
+        rows = RowStore()
+        rows.add(("a",))
+        rows.take_changes()
+        rows.free(0)
+        rows.add(("a",))
+        assert rows.take_changes() == [(("a",), True)]
+
+    def test_drain_holds_exactly_the_rows_changed_since_the_previous(self):
+        rows = RowStore()
+        for i in range(10):
+            rows.add((i,), ann="x")
+        assert rows.take_changes() == [((i,), True) for i in range(10)]
+        assert rows.take_changes() == []
+        rows.set_annotation(2, "y")
+        rows.mark_flushed()  # flushed rows stay changes to drain
+        rows.set_live(2, False)
+        rows.set_live(7, False)
+        rows.free(4)
+        assert sorted(rows.take_changes()) == [((2,), False), ((4,), False), ((7,), False)]
+        assert rows.change_count() == 0
+
+    def test_drop_settled_keeps_only_the_pending_rows(self):
+        rows = RowStore()
+        rows.add(("a",))
+        rows.mark_flushed()
+        rows.add(("b",))
+        rows.drop_settled()
+        assert rows.pending_rows() == [(1, ("b",))]
+        assert rows.change_count() == 1
+        rows.drop_changes()
+        assert rows.change_count() == 0
 
 
 class TestColumnIndex:

@@ -30,7 +30,7 @@ from pathlib import Path
 BACKEND_CLASSES = {"JournaledEngine"}
 #: attribute names no caller may ``getattr`` off an engine or its executor
 #: (any underscore name is banned as well).
-REACH_THROUGHS = {"executor", "store", "journal", "checkpoints", "emits_deltas"}
+REACH_THROUGHS = {"executor", "store", "journal", "checkpoints", "stores_expressions"}
 #: files (relative to the package root) that *are* the engine classes.
 ENGINE_MODULES = ("engine/", "wal/engine.py")
 
